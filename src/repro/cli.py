@@ -121,13 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
              "target's snapshot in the checkpoint directory (a missing or "
              "stale snapshot degrades to a cold start, never an error)",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the analysis: shards the pCFG fixpoint "
-             "across N processes (results are lattice-equal to --jobs 1); "
-             "with --fallback, runs the ladder rungs speculatively in the "
-             "same pool instead",
-    )
     _add_log_level(parser)
     return parser
 
@@ -696,16 +689,16 @@ def serve_main(argv) -> int:
 
 
 def build_faults_parser() -> argparse.ArgumentParser:
-    from repro.faults.plane import CATALOG
+    from repro.faults.plane import CATALOG, CATALOG_VERSION
 
     parser = argparse.ArgumentParser(
         prog="repro faults",
         description="Soundness-under-fault invariant sweep: run seeded "
                     "fault schedules against the full pipeline (service, "
-                    "sharded engine, HTTP) and machine-check that every "
-                    "answer stays exact-or-accounted, sound, replayable, "
-                    "and cache-clean. Any violation fails the sweep and "
-                    "prints the REPRO_FAULT_SEED that replays it.",
+                    "checkpointer, HTTP, /metrics) and machine-check that "
+                    "every answer stays exact-or-accounted, sound, "
+                    "replayable, and cache-clean. Any violation fails the "
+                    "sweep and prints the --replay command that re-runs it.",
     )
     parser.add_argument(
         "--seed", type=int, default=1337, metavar="N",
@@ -717,9 +710,9 @@ def build_faults_parser() -> argparse.ArgumentParser:
              "points; a full multiple rotates through every one)",
     )
     parser.add_argument(
-        "--replay", metavar="BASE:CASE", default=None,
-        help="re-run exactly one failing case from its printed "
-             "REPRO_FAULT_SEED label (e.g. --replay 1337:5)",
+        "--replay", metavar="LABEL", default=None,
+        help="re-run exactly one case from its printed schedule label "
+             f"(e.g. --replay v{CATALOG_VERSION}:1337:5)",
     )
     parser.add_argument(
         "--report", metavar="FILE", default=None,
@@ -741,18 +734,28 @@ def faults_main(argv) -> int:
     import tempfile
 
     from repro.faults import invariants
-    from repro.faults.plane import CATALOG
+    from repro.faults.plane import CATALOG, CATALOG_VERSION, parse_label, replay_hint
 
     args = build_faults_parser().parse_args(argv)
     if args.log_level:
         slog.configure(args.log_level)
 
     if args.replay:
-        base_text, _, case_text = args.replay.partition(":")
-        try:
-            base_seed, case_index = int(base_text), int(case_text or "0")
-        except ValueError:
-            print(f"error: --replay wants BASE:CASE, got {args.replay!r}")
+        parsed = parse_label(args.replay)
+        if parsed is None:
+            print(
+                f"error: --replay wants v{CATALOG_VERSION}:BASE:CASE, "
+                f"got {args.replay!r}"
+            )
+            return 2
+        version, base_seed, case_index = parsed
+        if version != CATALOG_VERSION:
+            print(
+                f"error: label {args.replay!r} is for fault catalog "
+                f"v{version}, but this build has catalog v{CATALOG_VERSION}; "
+                "its case maps to a different fault point, so re-run the "
+                "sweep to get a current label"
+            )
             return 2
         cases = [case_index]
     else:
@@ -807,7 +810,7 @@ def faults_main(argv) -> int:
     if unexercised:
         print(f"never fired: {', '.join(unexercised)}")
     for case_result in failures:
-        print(f"replay with: REPRO_FAULT_SEED={case_result.label}")
+        print(f"replay with: {replay_hint(case_result.label)}")
     if failures:
         return 1
     if args.require_coverage and unexercised and not args.replay:
@@ -820,7 +823,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro trace",
         description="Stitch one request's per-process span shards (daemon, "
-                    "attempt workers, shard-pool workers) into a single "
+                    "attempt workers) into a single "
                     "Chrome trace loadable in chrome://tracing or "
                     "ui.perfetto.dev. Trace ids come back in every service "
                     "response and streaming admission event.",
@@ -946,8 +949,7 @@ def _main(argv=None) -> int:
 
     if args.fallback:
         report = analyze_with_fallback(
-            program, limits=limits, checkpointer=checkpointer, resume=resume,
-            jobs=args.jobs,
+            program, limits=limits, checkpointer=checkpointer, resume=resume
         )
         for outcome in report.rungs:
             print(f"rung {outcome.describe()}")
@@ -964,7 +966,7 @@ def _main(argv=None) -> int:
     else:
         result, cfg, client = analyze_program(
             program, CartesianClient(), limits,
-            checkpointer=checkpointer, resume=resume, jobs=args.jobs,
+            checkpointer=checkpointer, resume=resume,
         )
         if result.confidence != diagnostics.EXACT:
             _print_degraded(result)

@@ -218,79 +218,6 @@ def _pool_context():
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def _rung_worker(task: tuple) -> tuple:
-    """Run one ladder rung in a worker process; returns its outcome plus a
-    counter snapshot so the parent recorder keeps the rung's obs counts."""
-    program, index, runner, limits, capture = task
-    if capture:
-        with obs.recording() as recorder:
-            result, cfg, client = runner(program, limits)
-        return index, result, cfg, client, dict(recorder.counters)
-    result, cfg, client = runner(program, limits)
-    return index, result, cfg, client, None
-
-
-def _parallel_rungs(program, rungs: List[Rung], jobs: int) -> Optional[FallbackReport]:
-    """Speculatively run every rung concurrently; pick the first exact one
-    in ladder order.
-
-    Unlike the serial climb, all rungs run (their results are all kept in
-    the report) and budget-trip snapshots cannot warm-start the next rung
-    — speculation trades that for wall-clock.  Returns None when the
-    program or ladder cannot cross a process boundary; the caller then
-    climbs serially.
-    """
-    try:
-        pickle.dumps((program, rungs), protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        obs.incr("driver.rung.parallel_fallbacks")
-        slog.info("driver.rungs_fallback", reason=str(exc))
-        return None
-    capture = obs.enabled()
-    report = FallbackReport()
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(rungs)), mp_context=_pool_context()
-    ) as pool:
-        futures = [
-            pool.submit(_rung_worker, (program, i, rung.run, rung.limits, capture))
-            for i, rung in enumerate(rungs)
-        ]
-        for rung, future in zip(rungs, futures):
-            try:
-                _, result, cfg, client, counters = future.result()
-            except Exception as exc:
-                # a dead or broken worker costs us one rung, not the run
-                obs.incr("driver.rung.worker_lost")
-                slog.warning(
-                    "driver.rung_worker_lost", name=rung.name, error=str(exc)
-                )
-                with obs.span(f"driver.rung.{rung.name}"):
-                    result, cfg, client = rung.run(program, rung.limits)
-                counters = None
-            obs.merge_counters(counters)
-            outcome = RungOutcome(rung.name, result, cfg, client)
-            report.rungs.append(outcome)
-            obs.incr(f"driver.rung.{rung.name}.{result.confidence}")
-            slog.info(
-                "driver.rung",
-                name=rung.name,
-                confidence=result.confidence,
-                matches=len(result.matches),
-                diagnostics=diagnostics.summarize(result.diagnostics),
-                resumed_from=None,
-            )
-    report.chosen = next(
-        (o for o in report.rungs if o.confidence == diagnostics.EXACT),
-        report.rungs[-1],
-    )
-    slog.info(
-        "driver.chosen",
-        name=report.chosen.name,
-        confidence=report.chosen.confidence,
-    )
-    return report
-
-
 def analyze_with_fallback(
     program_or_spec,
     limits: Optional[EngineLimits] = None,
@@ -298,7 +225,6 @@ def analyze_with_fallback(
     *,
     checkpointer=None,
     resume=None,
-    jobs: int = 1,
     progress=None,
 ) -> FallbackReport:
     """Climb the fallback ladder until a rung answers exactly.
@@ -316,25 +242,16 @@ def analyze_with_fallback(
     class differs from the snapshot's is detected by the engine and falls
     back to a cold start.
 
-    ``jobs > 1`` runs the rungs *speculatively* in a process pool (see
-    :func:`_parallel_rungs`); checkpointing/resume forces the serial
-    climb, whose warm-start carry speculation cannot reproduce.
-
     ``progress`` (a callable of one event dict) receives a ``rung``
-    event as each rung starts, plus the engine/shard heartbeats emitted
-    below it (installed ambiently via :mod:`repro.core.progress`, so
-    rung runners need no signature change).  Streaming forces the serial
-    climb: speculation would interleave rungs' events meaninglessly.
+    event as each rung starts, plus the engine heartbeats emitted below
+    it (installed ambiently via :mod:`repro.core.progress`, so rung
+    runners need no signature change).
     """
     if hasattr(program_or_spec, "parse"):
         program = program_or_spec.parse()
     else:
         program = program_or_spec
     rungs = ladder if ladder is not None else default_ladder(limits)
-    if jobs > 1 and checkpointer is None and resume is None and progress is None:
-        report = _parallel_rungs(program, rungs, jobs)
-        if report is not None:
-            return report
     report = FallbackReport()
     carry = resume
     for rung in rungs:

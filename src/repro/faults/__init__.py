@@ -9,7 +9,7 @@ Import the plane symbols from here; the harness is imported explicitly
 
 from repro.faults.plane import (  # noqa: F401
     CATALOG,
-    SEED_ENV,
+    CATALOG_VERSION,
     FaultPlane,
     FaultSchedule,
     PlannedFault,
@@ -18,6 +18,8 @@ from repro.faults.plane import (  # noqa: F401
     corrupt_bytes,
     engaged,
     install,
+    parse_label,
+    replay_hint,
     reset,
     uninstall,
 )

@@ -2,8 +2,8 @@
 
 One seeded fault schedule (:class:`~repro.faults.plane.FaultSchedule`)
 plus one generated program set, driven through a real slice of the
-pipeline (HTTP server → daemon → driver → sharded engine → checkpoint
-→ journal → cache), with every answer machine-checked against the
+pipeline (HTTP server → daemon → driver → engine → checkpoint →
+journal → cache), with every answer machine-checked against the
 invariants the service claims to hold *under faults*:
 
 ``service-answers``
@@ -36,10 +36,11 @@ invariants the service claims to hold *under faults*:
     down the service it watches.
 
 Each case is a fresh state directory and a fresh fault plane, so any
-failure reproduces from ``REPRO_FAULT_SEED=<base>:<case>`` alone.  The
-sweep report additionally merges fault-point coverage across cases and
-lists catalog points that never fired — an injection point nobody can
-reach is a fault model lying about its own surface.
+failure reproduces from its schedule label alone (``repro faults
+--replay <label>``).  The sweep report additionally merges fault-point
+coverage across cases and lists catalog points that never fired — an
+injection point nobody can reach is a fault model lying about its own
+surface.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults import plane
-from repro.faults.plane import CATALOG, FaultSchedule
+from repro.faults.plane import CATALOG, FaultSchedule, replay_hint
 
 #: per-case wall-clock ceiling on any single job wait; a case that
 #: cannot answer inside this is reported as a hang (invariant breach),
@@ -64,10 +65,6 @@ WAIT_SEC = 20.0
 
 #: programs driven through the service per case (distinct corpus seeds)
 PROGRAMS_PER_CASE = 2
-
-#: fault points exercised through the sharded-engine channel rather
-#: than the single-process inline service
-SHARD_POINTS = frozenset({"shard.boundary.corrupt", "shard.worker.kill"})
 
 #: fault points exercised through a real HTTP round-trip
 HTTP_POINTS = frozenset({"http.client.disconnect"})
@@ -90,7 +87,7 @@ class CaseResult:
     case: int
     label: str
     focus: str
-    channel: str  # "service" | "shard" | "http" | "ckpt" | "metrics"
+    channel: str  # "service" | "http" | "ckpt" | "metrics"
     ok: bool = True
     violations: List[str] = field(default_factory=list)
     coverage: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -141,9 +138,7 @@ class SweepReport:
             "base_seed": self.base_seed,
             "cases": len(self.cases),
             "failures": len(self.failures),
-            "replay": [
-                f"REPRO_FAULT_SEED={case.label}" for case in self.failures
-            ],
+            "replay": [replay_hint(case.label) for case in self.failures],
             "unexercised_points": self.unexercised(),
             "coverage": self.merged_coverage(),
         }
@@ -342,58 +337,6 @@ def _check_replay(state_dir: Path, case: CaseResult) -> None:
             )
     except Exception as exc:
         case.fail("journal-replay", f"recovery raised {exc!r}")
-
-
-def _run_shard_case(state_dir: Path, programs, case: CaseResult) -> None:
-    """Sharded-engine channel: the fault points that live in the
-    multi-process fixpoint need a ShardedEngine run to be reachable.
-
-    The reference here is the *serial engine*, not the dynamic oracle:
-    a bare engine+client answer may legitimately under-approximate
-    (GIVEUP_NO_MATCH — the driver ladder's mpi-cfg rung is what restores
-    the superset guarantee), so the shard invariant is the equivalence
-    gate — a faulted sharded run either reproduces the serial answer
-    exactly, or gives up with the loss accounted in a diagnostic."""
-    from repro.analyses.simple_symbolic import SimpleSymbolicClient
-    from repro.core.engine import EngineLimits, PCFGEngine
-    from repro.core.shard import ShardedEngine
-    from repro.lang.cfg import build_cfg
-
-    generated = programs[0]
-    limits = EngineLimits(deadline_sec=WAIT_SEC)
-    try:
-        result = ShardedEngine(
-            build_cfg(generated.parse()),
-            SimpleSymbolicClient(),
-            limits,
-            jobs=2,
-        ).run()
-    except Exception as exc:
-        case.fail("service-answers", f"sharded run raised {exc!r}")
-        return
-    accounted = bool(result.diagnostics)
-    # serial reference run: touches no instrumented boundary (no
-    # checkpointer, no workers), so the live plane cannot perturb it
-    serial = PCFGEngine(
-        build_cfg(generated.parse()), SimpleSymbolicClient(), limits
-    ).run()
-    if set(result.matches) == set(serial.matches):
-        return
-    if not accounted:
-        case.fail(
-            "soundness",
-            f"{generated.corpus_id}: faulted sharded answer diverges from "
-            "serial with no diagnostic accounting for the loss",
-        )
-    elif not result.gave_up:
-        case.fail(
-            "soundness",
-            f"{generated.corpus_id}: faulted sharded {result.confidence} "
-            f"answer differs from serial "
-            f"(missing {len(set(serial.matches) - set(result.matches))}, "
-            f"extra {len(set(result.matches) - set(serial.matches))}) "
-            "without giving up",
-        )
 
 
 def _run_ckpt_case(state_dir: Path, programs, case: CaseResult) -> None:
@@ -634,8 +577,6 @@ def _run_metrics_case(state_dir: Path, programs, case: CaseResult) -> None:
 
 
 def _channel_for(schedule: FaultSchedule) -> str:
-    if schedule.focus in SHARD_POINTS:
-        return "shard"
     if schedule.focus in HTTP_POINTS:
         return "http"
     if schedule.focus in CKPT_POINTS:
@@ -662,9 +603,7 @@ def run_case(base_seed: int, case_index: int, state_root: Path) -> CaseResult:
     reset_state()
     plane.install(schedule)
     try:
-        if case.channel == "shard":
-            _run_shard_case(state_dir, programs, case)
-        elif case.channel == "http":
+        if case.channel == "http":
             _run_http_case(state_dir, programs, case)
         elif case.channel == "ckpt":
             _run_ckpt_case(state_dir, programs, case)

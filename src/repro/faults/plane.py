@@ -1,19 +1,19 @@
 """Deterministic, seeded cross-layer fault plane.
 
 Every prior robustness mechanism injects faults into *one* layer: the
-chaos suite perturbs the engine, the crash suite SIGKILLs the daemon,
-the shard tests kill one worker.  This module is the shared switchboard
-those layers (and everything between them) register with, so one seeded
-schedule can misbehave anywhere in the pipeline and the invariant
-harness (:mod:`repro.faults.invariants`) can check the end-to-end answer
-stays sound.
+chaos suite perturbs the engine, the crash suite SIGKILLs the daemon.
+This module is the shared switchboard those layers (and everything
+between them) register with, so one seeded schedule can misbehave
+anywhere in the pipeline and the invariant harness
+(:mod:`repro.faults.invariants`) can check the end-to-end answer stays
+sound.
 
 Design, mirroring :mod:`repro.obs.provenance`:
 
 * **Named injection points** (:data:`CATALOG`) live at trust boundaries:
-  disk writes in the checkpointer/cache/journal, cache reads, shard
-  boundary-fact codecs, worker processes, the daemon queue and clock,
-  and the HTTP response path.  Instrumented code calls
+  disk writes in the checkpointer/cache/journal, cache reads, the
+  daemon's attempt worker, queue and clock, the HTTP response path and
+  the ``/metrics`` render.  Instrumented code calls
   :func:`check(point) <check>`; the call answers ``None`` ("behave") or
   a :class:`PlannedFault` ("misbehave now, like this").
 * **Zero cost when disabled**: the process-global plane is ``None`` by
@@ -23,8 +23,10 @@ Design, mirroring :mod:`repro.obs.provenance`:
   from ``(base_seed, case_index)``.  Case *k* of a sweep always forces
   catalog point ``k mod len(CATALOG)`` to fire on its first arrival
   (so a full rotation exercises every point) plus a seeded handful of
-  extra faults.  ``REPRO_FAULT_SEED=<base>[:<case>]`` replays any
-  failing case exactly (:meth:`FaultSchedule.from_env`).
+  extra faults.  A schedule's label ``v<catalog>:<base>:<case>`` names
+  it exactly; ``repro faults --replay <label>`` re-runs that one case
+  (:func:`parse_label`), and refuses a label printed against another
+  catalog version, whose case-to-point mapping differs.
 * **Coverage accounting**: the plane counts arrivals (``hits``) and
   injections (``fired``) per point; :meth:`FaultPlane.coverage` is what
   the harness folds into its never-exercised report.
@@ -38,19 +40,23 @@ Real SIGKILLs are reserved for disposable worker processes.
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
-#: environment variable replaying one schedule: ``<base_seed>[:<case>]``
-SEED_ENV = "REPRO_FAULT_SEED"
+#: version of :data:`CATALOG`'s shape, carried in every schedule label.
+#: Bump it whenever an entry is added, removed or moved: case ``k`` forces
+#: point ``k mod len(CATALOG)``, so a label only names the same schedule
+#: under the catalog it was printed against.  Unversioned labels predate
+#: versioning and count as version 1.
+CATALOG_VERSION = 2
 
 #: every registered injection point, name -> where it bites.  Ordered:
 #: case ``k`` of a sweep forces point ``k mod len(CATALOG)``, so the
-#: ordering is part of the replay contract — append, never reorder.
+#: ordering is part of the replay contract — any change bumps
+#: :data:`CATALOG_VERSION`.
 CATALOG: "Dict[str, str]" = {
     "ckpt.write.enospc": "checkpoint atomic write fails with ENOSPC mid-write",
     "ckpt.write.eio": "checkpoint atomic write fails with EIO at fsync",
@@ -60,8 +66,6 @@ CATALOG: "Dict[str, str]" = {
     "cache.read.corrupt": "result-cache entry read returns bit-flipped bytes",
     "journal.append.enospc": "journal append fails with ENOSPC before writing",
     "journal.append.torn": "journal append crashes mid-line (torn tail)",
-    "shard.boundary.corrupt": "a shard boundary fact decodes as garbage",
-    "shard.worker.kill": "one shard worker process is SIGKILLed mid-round",
     "daemon.worker.kill": "the daemon's attempt worker dies mid-attempt",
     "daemon.clock.pressure": "the attempt deadline collapses to near zero",
     "daemon.queue.overflow": "the admission queue reports full",
@@ -128,23 +132,38 @@ class FaultSchedule:
                     arg=0.1 + 0.8 * rng.random(),
                 )
             )
-        return cls(plans, label=f"{base_seed}:{case_index}", focus=focus)
+        label = f"v{CATALOG_VERSION}:{base_seed}:{case_index}"
+        return cls(plans, label=label, focus=focus)
 
-    @classmethod
-    def from_env(cls, value: Optional[str] = None) -> Optional["FaultSchedule"]:
-        """Rebuild the schedule named by ``REPRO_FAULT_SEED`` (or an
-        explicit ``value``) — ``"<base>"`` means case 0, ``"<base>:<case>"``
-        any case.  None when unset/unparseable (never raises: a bad env
-        var must not take the process down)."""
-        raw = value if value is not None else os.environ.get(SEED_ENV, "")
-        raw = raw.strip()
-        if not raw:
+
+def parse_label(text: str) -> Optional[Tuple[int, int, int]]:
+    """Split a schedule label into ``(catalog_version, base_seed, case)``.
+
+    Accepts ``v<version>:<base>[:<case>]`` and the unversioned
+    ``<base>[:<case>]`` (version 1); a missing case means case 0.  None
+    for anything else — never raises, so a garbled label costs its
+    caller one ``is None`` test.
+    """
+    parts = str(text).strip().split(":")
+    version = 1
+    if parts[0].startswith("v"):
+        version_text = parts.pop(0)[1:]
+        if not version_text.isdigit():
             return None
-        base, _, case = raw.partition(":")
-        try:
-            return cls.for_case(int(base), int(case) if case else 0)
-        except ValueError:
-            return None
+        version = int(version_text)
+    if not 1 <= len(parts) <= 2:
+        return None
+    try:
+        base = int(parts[0])
+        case = int(parts[1]) if len(parts) == 2 else 0
+    except ValueError:
+        return None
+    return version, base, case
+
+
+def replay_hint(label: str) -> str:
+    """The command that re-runs the case a schedule label names."""
+    return f"repro faults --replay {label}"
 
 
 class FaultPlane:
@@ -252,7 +271,7 @@ def corrupt_bytes(raw: bytes, arg: float) -> bytes:
 
 __all__ = [
     "CATALOG",
-    "SEED_ENV",
+    "CATALOG_VERSION",
     "PlannedFault",
     "FaultSchedule",
     "FaultPlane",
@@ -263,4 +282,6 @@ __all__ = [
     "engaged",
     "check",
     "corrupt_bytes",
+    "parse_label",
+    "replay_hint",
 ]

@@ -251,7 +251,7 @@ class Recorder:
     def merge_counters(self, counters: Dict[str, int]) -> None:
         """Fold a counter snapshot from another process into this recorder.
 
-        Worker processes (the sharded engine, sweep/batch pool workers)
+        Worker processes (sweep and batch pool workers)
         cannot share the parent's recorder; they enable a private one,
         return ``dict(recorder.counters)`` with their result, and the
         parent merges it here so ``engine.*``/``sweep.*`` counts survive

@@ -74,6 +74,9 @@ DRAIN_CEILING_BYTES = 64 * 1024 * 1024
 class _Handler(BaseHTTPRequestHandler):
     # the service instance is attached to the server object
     protocol_version = "HTTP/1.1"
+    #: headers and body go out as two writes; with Nagle on, the body of a
+    #: kept-alive response waits out the client's delayed ACK (~40 ms)
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> AnalysisService:
@@ -432,6 +435,9 @@ class _Handler(BaseHTTPRequestHandler):
 class AnalysisHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
+    #: listen backlog; the inherited 5 overflows under a burst of
+    #: concurrent connects, and every dropped SYN costs a 1 s retransmit
+    request_queue_size = 128
 
     def __init__(self, address: Tuple[str, int], service: AnalysisService):
         super().__init__(address, _Handler)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.core import diagnostics
 from repro.core.driver import (
+    analyze_batch,
     analyze_with_fallback,
     default_ladder,
     escalate,
@@ -11,7 +12,11 @@ from repro.core.driver import (
 from repro.core.engine import EngineLimits
 from repro.lang import programs
 from repro.lang.cfg import build_cfg
+from repro.obs import recorder as obs
 from repro.runtime import run_program
+
+#: programs the batch fan-out tests push through a process pool
+BATCH_CORPUS = ["pingpong", "shift_right", "master_worker", "mdcask_full"]
 
 
 def test_first_rung_exact_wins_and_stops():
@@ -97,3 +102,32 @@ def test_report_describe_names_the_answering_rung():
     text = report.describe()
     assert "answer from rung: mpi-cfg" in text
     assert "cartesian: partial" in text
+
+
+# -- whole-program batch fan-out ----------------------------------------------
+
+
+def test_parallel_batch_matches_serial_in_order():
+    items = [programs.get(name) for name in BATCH_CORPUS]
+
+    def digest(pairs):
+        return [
+            (
+                getattr(item, "name", "?"),
+                report.rung_name,
+                report.result.confidence,
+                frozenset(report.result.matches),
+            )
+            for item, report in pairs
+        ]
+
+    serial = digest(analyze_batch(items))
+    parallel = digest(analyze_batch(items, jobs=2))
+    assert parallel == serial  # same answers, input order preserved
+
+
+def test_parallel_batch_merges_worker_counters():
+    items = [programs.get(name) for name in BATCH_CORPUS]
+    with obs.recording() as recorder:
+        list(analyze_batch(items, jobs=2))
+    assert recorder.counters.get("engine.steps", 0) > 0

@@ -60,17 +60,6 @@ class TestDriverEvents:
         assert beats[0]["steps"] == 1
         assert "worklist" in beats[0]
 
-    def test_progress_forces_serial_climb(self):
-        # a progress hook disables rung speculation: events arrive in
-        # ladder order even with jobs > 1
-        events = []
-        analyze_with_fallback(
-            programs.get("pingpong").parse(), jobs=2, progress=events.append
-        )
-        rungs = [e["rung"] for e in events if e["event"] == "rung"]
-        assert rungs == sorted(rungs, key=rungs.index)  # stable serial order
-        assert rungs[0] == "cartesian"
-
     def test_throwing_hook_does_not_abort_analysis(self):
         calls = []
 

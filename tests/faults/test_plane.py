@@ -7,10 +7,12 @@ import pytest
 from repro.faults import plane
 from repro.faults.plane import (
     CATALOG,
+    CATALOG_VERSION,
     FaultPlane,
     FaultSchedule,
     PlannedFault,
     corrupt_bytes,
+    parse_label,
 )
 
 
@@ -49,7 +51,7 @@ def test_planned_fault_window():
 def test_schedule_for_case_is_deterministic():
     a = FaultSchedule.for_case(1337, 5)
     b = FaultSchedule.for_case(1337, 5)
-    assert a.label == b.label == "1337:5"
+    assert a.label == b.label == f"v{CATALOG_VERSION}:1337:5"
     assert [(p.point, p.hit, p.count, p.arg) for p in a.plans] == [
         (p.point, p.hit, p.count, p.arg) for p in b.plans
     ]
@@ -60,34 +62,41 @@ def test_schedule_rotation_covers_catalog():
     assert focuses == set(CATALOG)
 
 
-def test_from_env_parses_base_and_case(monkeypatch):
-    monkeypatch.setenv(plane.SEED_ENV, "42:3")
-    schedule = FaultSchedule.from_env()
-    assert schedule is not None and schedule.label == "42:3"
-    monkeypatch.setenv(plane.SEED_ENV, "42")
-    schedule = FaultSchedule.from_env()
-    assert schedule is not None and schedule.label == "42:0"
+def test_parse_label_reads_base_and_case():
+    assert parse_label(f"v{CATALOG_VERSION}:42:3") == (CATALOG_VERSION, 42, 3)
+    assert parse_label(f"v{CATALOG_VERSION}:42") == (CATALOG_VERSION, 42, 0)
+    # every label a schedule prints parses back to its own case
+    label = FaultSchedule.for_case(42, 3).label
+    assert parse_label(label) == (CATALOG_VERSION, 42, 3)
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1:2:3", "1:x"])
-def test_from_env_never_raises(monkeypatch, bad):
-    monkeypatch.setenv(plane.SEED_ENV, bad)
-    assert FaultSchedule.from_env() is None
+def test_parse_label_reports_other_versions():
+    # unversioned labels predate the version field: catalog v1
+    assert parse_label("42:3") == (1, 42, 3)
+    assert parse_label("42") == (1, 42, 0)
+    assert parse_label("v7:42:3") == (7, 42, 3)
+
+
+@pytest.mark.parametrize(
+    "bad", ["", "x", "1:2:3", "1:x", "v", "v:1:2", "vx:1:2", "v2:1:2:3", "v2:"]
+)
+def test_parse_label_never_raises(bad):
+    assert parse_label(bad) is None
 
 
 def test_plane_counts_arrivals_and_firings():
     schedule = FaultSchedule(
-        plans=(PlannedFault("shard.worker.kill", hit=2),), label="t"
+        plans=(PlannedFault("daemon.worker.kill", hit=2),), label="t"
     )
     fault_plane = FaultPlane(schedule)
-    assert fault_plane.check("shard.worker.kill") is None  # arrival 1
-    assert fault_plane.check("shard.worker.kill") is not None  # arrival 2
-    assert fault_plane.check("shard.worker.kill") is None  # arrival 3
+    assert fault_plane.check("daemon.worker.kill") is None  # arrival 1
+    assert fault_plane.check("daemon.worker.kill") is not None  # arrival 2
+    assert fault_plane.check("daemon.worker.kill") is None  # arrival 3
     coverage = fault_plane.coverage()
-    assert coverage["shard.worker.kill"] == {"hits": 3, "fired": 1}
+    assert coverage["daemon.worker.kill"] == {"hits": 3, "fired": 1}
     # zero-filled over the whole catalog, so "never exercised" is visible
     assert set(coverage) == set(CATALOG)
-    assert fault_plane.fired_points() == ["shard.worker.kill"]
+    assert fault_plane.fired_points() == ["daemon.worker.kill"]
 
 
 def test_unknown_point_counts_but_never_fires():

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -185,3 +189,66 @@ def test_batch_endpoint(server):
     assert caches == ["hit", "miss"]
     code, body, _ = _post(base, "/v1/batch", {"programs": []})
     assert code == 400
+
+
+#: concurrent connects in the backlog burst: well past the 5-deep default
+#: listen queue, so an undersized backlog drops SYNs
+BURST = 48
+
+
+def test_connect_burst_is_answered_below_syn_retry(server):
+    """A burst of concurrent connects must fit the listen backlog: a
+    dropped SYN is retransmitted after 1 s, so any answer slower than
+    that means the kernel refused a connection."""
+    base, _service = server
+    port = int(base.rsplit(":", 1)[1])
+    barrier = threading.Barrier(BURST)
+    latencies, errors = [], []
+
+    def one_request():
+        barrier.wait()
+        start = time.perf_counter()
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+                conn.sendall(
+                    b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+                )
+                reply = b""
+                while True:
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        break
+                    reply += chunk
+            assert reply.startswith(b"HTTP/1.1 200"), reply[:40]
+            latencies.append(time.perf_counter() - start)
+        except Exception as exc:  # collected: a thread cannot fail the test
+            errors.append(repr(exc))
+
+    threads = [threading.Thread(target=one_request) for _ in range(BURST)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not errors, errors
+    assert len(latencies) == BURST
+    assert max(latencies) < 1.0, f"slowest connect {max(latencies):.3f} s"
+
+
+def test_kept_alive_requests_do_not_wait_for_delayed_ack(server):
+    """Headers and body are separate writes; with Nagle on, each reply on
+    a kept-alive connection would stall ~40 ms behind delayed ACK."""
+    base, _service = server
+    port = int(base.rsplit(":", 1)[1])
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        times = []
+        for _ in range(7):
+            start = time.perf_counter()
+            conn.request("GET", "/stats")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+            times.append(time.perf_counter() - start)
+    finally:
+        conn.close()
+    assert statistics.median(times) < 0.020, [f"{t * 1000:.1f} ms" for t in times]

@@ -280,6 +280,33 @@ class TestExplainSubcommand:
         assert provenance.active() is None
 
 
+
+class TestFaultsSubcommand:
+    def test_replay_hint_reruns_its_case(self, capsys):
+        from repro.faults.plane import FaultSchedule, replay_hint
+
+        label = FaultSchedule.for_case(1337, 0).label
+        command = replay_hint(label).split()
+        assert command[:3] == ["repro", "faults", "--replay"]
+        assert main(command[1:]) == 0
+        out = capsys.readouterr().out
+        assert "1 case(s): 1 ok, 0 failed" in out
+        assert "case   0 focus=ckpt.write.enospc" in out
+
+    @pytest.mark.parametrize("label", ["1337:5", "v1:1337:5"])
+    def test_replay_refuses_other_catalog_versions(self, capsys, label):
+        from repro.faults.plane import CATALOG_VERSION
+
+        assert main(["faults", "--replay", label]) == 2
+        out = capsys.readouterr().out
+        assert "catalog v1" in out
+        assert f"catalog v{CATALOG_VERSION}" in out
+
+    def test_replay_rejects_garbage(self, capsys):
+        assert main(["faults", "--replay", "1337:x"]) == 2
+        assert "--replay wants" in capsys.readouterr().out
+
+
 class TestLogLevelFlag:
     def test_log_level_mirrors_driver_events_to_stderr(self, capsys):
         assert main(
