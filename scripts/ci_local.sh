@@ -28,10 +28,12 @@
 #                  sequence: admission -> rung -> progress -> result), scrape
 #                  /metrics (fail on missing required series or unparseable
 #                  exposition), and stitch the request trace via `repro trace`
-#   bench-smoke -> benchmark suite with timing disabled, the tracked-baseline
-#                  regression gate (`scripts/bench_baseline.py --compare`),
-#                  then the Section IX profile artifact via
-#                  `python -m repro profile`.
+#   bench-smoke -> benchmark suite with timing disabled, the repository
+#                  benchmark's own tests (`perfbench/tests`: they fail when a
+#                  method or memo table the traced run wraps is renamed),
+#                  the tracked-baseline regression gate
+#                  (`scripts/bench_baseline.py --compare`), then the
+#                  Section IX profile artifact via `python -m repro profile`.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -152,6 +154,7 @@ step "telemetry-smoke: stream + /metrics scrape + stitched trace" bash -c '
   rm -rf .ci-serve telemetry-trace.json
   exit "$status"'
 step "bench-smoke: benchmarks" python -m pytest benchmarks -q --benchmark-disable
+step "bench-smoke: repository benchmark tests" python -m pytest perfbench/tests -q
 step "bench-smoke: tracked baseline" \
   python scripts/bench_baseline.py --compare BENCH_pr2.json
 step "bench-smoke: profile artifact" \

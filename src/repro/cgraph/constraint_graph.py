@@ -11,47 +11,42 @@ by an incremental single-constraint update (O(n^2)); both are instrumented
 through :mod:`repro.cgraph.stats` because reproducing the paper's Section IX
 profile requires counting exactly these operations.
 
-Representation sharing (PR 2).  The bound matrix is **copy-on-write**:
-:meth:`ConstraintGraph.copy` shares the underlying dict-of-dicts between
-parent and clone, and the first in-place mutation of either materializes a
-private copy (``cgraph.cow.shares`` / ``cgraph.cow.materializations``
-counters).  Closed graphs cache a canonical *fingerprint* of their
-constraint set, so :meth:`equivalent_to` is a hash comparison instead of a
-matrix walk, and both closure algorithms are memoized in a process-wide
-table — the full closure keyed by the unclosed constraint set, the
-incremental closure keyed by ``(fingerprint, added constraint)`` — with
-hits reported as ``cgraph.closure.cache_hits``.  The ``naive_copy`` flag
-restores the pre-PR-2 eager-copy, cache-free behavior for A/B property
-tests, and ``naive_closure`` (the Section IX ablation) also bypasses every
-cache so the paper's prototype cost profile stays reproducible.
+Representation.  One dense float64 matrix per graph (``inf`` = no
+constraint), indexed by variable name, held in a buffer with spare capacity
+so new variables append in amortized O(1); every lattice operation is a
+matrix operation.  The storage is **copy-on-write** between
+:meth:`ConstraintGraph.copy` siblings (``cgraph.cow.*`` counters).  The
+canonical *fingerprint* is the sorted variable names plus the matrix bytes
+in that order, and both closures are memoized process-wide — the full one
+keyed by the unclosed system, the incremental one by ``(fingerprint, added
+constraint)`` (hits: ``cgraph.closure.cache_hits``).  ``naive_copy``
+restores eager copies with no caches (the property-test oracle), and
+``naive_closure`` (the Section IX ablation) also bypasses every cache and
+runs the prototype's pure-Python O(n^3) loop.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.cgraph.stats import ClosureStats, global_stats, timed
 from repro.expr.linear import LinearExpr
 from repro.obs import recorder as _obs
 
-try:  # optional vectorized min-plus kernel for the optimized closure path
-    import numpy as _np
-except ImportError:  # pragma: no cover - the baked image ships numpy
-    _np = None
-
-#: below this many variables the pure-Python loop beats the array setup
-_NUMPY_CLOSURE_MIN_VARS = 16
-
 #: distinguished node representing the constant 0
 ZERO = "__0__"
 
-#: absence of a constraint (y - x unbounded above)
+#: absence of a constraint (y - x unbounded above) in the query API
 INF = None
 
-#: memoized closure results: key -> (bound matrix, infeasible, fingerprint).
-#: Cached matrices are adopted copy-on-write and must never be mutated in
-#: place (every adopter holds them with ``_shared = True``).
-_CLOSURE_CACHE: Dict[tuple, Tuple[Dict[str, Dict[str, int]], bool, tuple]] = {}
+_INF = np.inf
+
+#: memoized closure results: key -> (buffer, names, index, infeasible,
+#: fingerprint).  Cached storage is adopted copy-on-write and must never be
+#: mutated in place (every adopter holds it with ``_shared = True``).
+_CLOSURE_CACHE: Dict[tuple, tuple] = {}
 
 #: crude epoch eviction: when the table fills up it is dropped wholesale,
 #: which keeps behavior deterministic and bounds memory
@@ -61,24 +56,94 @@ _CLOSURE_CACHE_MAX = 4096
 #: shared equivalence memos: semantic fingerprint -> {(expr, vocab): frozenset}.
 #: Graphs adopt the dict matching their semantics, so enrichment work
 #: survives copies, joins, and re-derivations of the same constraint system.
+#: The dicts also map a base variable name to its equality class.
 _EQUIV_REGISTRY: Dict[tuple, dict] = {}
 
-#: sentinel key inside an equivalence memo dict holding the graph's
-#: precomputed equality-pair structure (see :meth:`_equality_pairs`);
-#: never collides with the ``(expr, vocab)`` tuple keys of real entries
-_EQUIV_PAIRS_KEY = "__equality_pairs__"
+#: interned ``name + c`` expressions: memoized equivalence sets share them
+_VAR_PLUS: Dict[Tuple[str, int], LinearExpr] = {}
 
 
 def clear_closure_caches() -> None:
     """Drop all memoized closure results (test/benchmark isolation)."""
     _CLOSURE_CACHE.clear()
     _EQUIV_REGISTRY.clear()
+    _VAR_PLUS.clear()
 
 
 def _cache_store(key: tuple, value) -> None:
     if len(_CLOSURE_CACHE) >= _CLOSURE_CACHE_MAX:
         _CLOSURE_CACHE.clear()
     _CLOSURE_CACHE[key] = value
+
+
+def _blank(n: int) -> np.ndarray:
+    """An ``n x n`` matrix with no constraints (``inf``, diagonal 0)."""
+    matrix = np.full((n, n), _INF)
+    np.fill_diagonal(matrix, 0.0)
+    return matrix
+
+
+def _sub(matrix: np.ndarray, rows) -> np.ndarray:
+    """The (fresh) submatrix on ``rows`` x ``rows``, in that order."""
+    rows = np.asarray(rows, dtype=np.intp)
+    return matrix.take(rows, axis=0).take(rows, axis=1)
+
+
+def _edges(matrix: np.ndarray) -> np.ndarray:
+    """Mask of the explicit constraints (finite off-diagonal entries)."""
+    mask = np.isfinite(matrix)
+    np.fill_diagonal(mask, False)
+    return mask
+
+
+def _canonical(names: List[str], matrix: np.ndarray, keep=None) -> tuple:
+    """``(names, bytes)`` of ``matrix`` reordered by sorted variable name,
+    restricted to the rows flagged in ``keep`` when given."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    if keep is not None:
+        order = [i for i in order if keep[i]]
+    if order != list(range(len(names))):
+        matrix = _sub(matrix, order)
+    return "\0".join([names[i] for i in order]), matrix.tobytes()
+
+
+def _floyd_warshall(matrix: np.ndarray) -> bool:
+    """Min-plus Floyd-Warshall closure in place; True iff a negative cycle
+    exists.  Only a node with both incoming and outgoing edges can be a
+    path's inner node, and one with neither is on no path, so the kernel
+    relaxes through the former on a contiguous copy of the rows and
+    columns that carry a constraint."""
+    mask = _edges(matrix)
+    has_in, has_out = mask.any(axis=0), mask.any(axis=1)
+    live = np.flatnonzero(has_in | has_out)
+    sub = _sub(matrix, live)
+    for k in np.flatnonzero((has_in & has_out)[live]).tolist():
+        np.minimum(sub, sub[:, k : k + 1] + sub[k : k + 1, :], out=sub)
+    infeasible = bool((sub.diagonal() < 0).any())
+    np.fill_diagonal(sub, 0.0)
+    matrix[np.ix_(live, live)] = sub
+    return infeasible
+
+
+def _floyd_warshall_python(matrix: np.ndarray) -> bool:
+    """The paper prototype's straightforward O(n^3) closure loop, in place;
+    True iff a negative cycle exists."""
+    rows = matrix.tolist()
+    n = len(rows)
+    for k in range(n):
+        row_k = rows[k]
+        for i in range(n):
+            row_i = rows[i]
+            via = row_i[k]
+            if via == _INF:
+                continue
+            for j in range(n):
+                total = via + row_k[j]
+                if total < row_i[j]:
+                    row_i[j] = total
+    matrix[...] = rows
+    np.fill_diagonal(matrix, 0.0)
+    return any(rows[i][i] < 0 for i in range(n))
 
 
 class ConstraintGraph:
@@ -95,25 +160,26 @@ class ConstraintGraph:
         naive_closure: bool = False,
         naive_copy: bool = False,
     ):
-        # _bound[x][y] = c  <=>  y <= x + c  (edge x --c--> y)
-        self._bound: Dict[str, Dict[str, int]] = {ZERO: {}}
+        # _m[i, j] = c  <=>  names[j] <= names[i] + c  (edge i --c--> j).
+        # _m is the leading n x n block of _buf; the rest of _buf stays
+        # blank, so appending a variable writes nothing
+        self._use(np.zeros((1, 1)), [ZERO], {ZERO: 0})
         self._closed = True
         self._infeasible = False
-        #: the bound matrix may be referenced by another graph (or by the
-        #: closure cache); in-place mutation must materialize a private copy
-        self._shared = False
-        #: cached canonical fingerprint of the closed constraint system
-        self._fingerprint: Optional[tuple] = None
+        #: cached canonical fingerprints: every tracked variable (the
+        #: full-closure memo key) and constrained variables only (semantics)
+        self._rep_fp: Optional[tuple] = None
+        self._fp: Optional[tuple] = None
         #: memoized ``equivalents`` results, shared between COW siblings and
         #: replaced (never cleared in place) on semantic mutation
-        self._equiv_cache: Dict[tuple, frozenset] = {}
+        self._equiv_cache: dict = {}
         self._stats = stats if stats is not None else global_stats()
         #: ablation switch reproducing the paper's prototype cost profile:
         #: re-run the full O(n^3) closure before every query instead of
         #: tracking closedness (Section IX's dominant cost)
         self.naive_closure = naive_closure
-        #: ablation switch restoring the pre-PR-2 lattice: eager deep copies
-        #: and no closure/equivalence caches (the property-test oracle)
+        #: ablation switch restoring the pre-COW lattice: eager copies and
+        #: no closure/equivalence caches (the property-test oracle)
         self.naive_copy = naive_copy
 
     # -- copy-on-write plumbing ------------------------------------------------
@@ -122,16 +188,45 @@ class ConstraintGraph:
         """True when memoization is allowed (both ablations disable it)."""
         return not (self.naive_closure or self.naive_copy)
 
-    def _materialize(self) -> None:
-        """Give this graph a private bound matrix before in-place mutation."""
+    def _use(self, buf: np.ndarray, names: List[str], index=None, shared=False) -> None:
+        """Install storage; ``shared`` storage may be referenced by another
+        graph or by the closure cache, so mutation must copy it first."""
+        n = len(names)
+        self._buf, self._m, self._names = buf, buf[:n, :n], names
+        self._index = {name: i for i, name in enumerate(names)} if index is None else index
+        self._shared = shared
+
+    def _materialize(self, extra: int = 0) -> None:
+        """Give this graph private storage, with room for ``extra`` more
+        variables, before in-place mutation."""
+        n, cap = len(self._names), self._buf.shape[0]
+        if n + extra > cap:
+            buf = _blank(max(n + extra, cap + cap // 2 + 4))
+            buf[:n, :n] = self._m
+        elif self._shared:
+            buf = self._buf.copy()
+        else:
+            return
         if self._shared:
-            self._bound = {src: dict(dsts) for src, dsts in self._bound.items()}
-            self._shared = False
             self._stats.record_cow_materialization()
+        self._use(buf, list(self._names), dict(self._index))
+
+    def _adopt(self, entry: tuple) -> None:
+        """Share the storage of a closure-cache entry."""
+        self._use(*entry[:3], shared=True)
+        self._closed = True
+        self._rep_fp = entry[4]
+        self._fp = None
+
+    def _cache_entry(self, infeasible: bool) -> tuple:
+        """This graph's storage as a closure-cache value (now shared)."""
+        self._shared = True
+        return (self._buf, self._names, self._index, infeasible, self._rep_fingerprint())
 
     def _invalidate(self) -> None:
-        """Constraint set changed: drop fingerprint and equivalence memos."""
-        self._fingerprint = None
+        """Constraint set changed: drop fingerprints and equivalence memos."""
+        self._rep_fp = None
+        self._fp = None
         # Re-bind instead of clearing: COW siblings still using the old
         # semantics keep their (still-valid) shared memo dict.  This must
         # happen even when the dict is currently empty — a sibling sharing
@@ -140,23 +235,28 @@ class ConstraintGraph:
 
     def _edge_items(self) -> tuple:
         """Canonical tuple of all explicit constraints (sorted edge list)."""
-        items = [
-            (src, dst, c)
-            for src, dsts in self._bound.items()
-            for dst, c in dsts.items()
-        ]
-        items.sort()
-        return tuple(items)
+        rows, cols = np.nonzero(_edges(self._m))
+        names = self._names
+        return tuple(sorted(
+            (names[i], names[j], int(c))
+            for i, j, c in zip(rows.tolist(), cols.tolist(), self._m[rows, cols].tolist())
+        ))
 
     def _rep_fingerprint(self) -> tuple:
-        """Representational fingerprint: feasibility, variables, edges."""
-        if self._fingerprint is None:
-            self._fingerprint = (
-                self._infeasible,
-                tuple(sorted(self._bound)),
-                self._edge_items(),
+        """Representational fingerprint: feasibility, variables, matrix."""
+        if self._rep_fp is None:
+            self._rep_fp = (self._infeasible,) + _canonical(self._names, self._m)
+        return self._rep_fp
+
+    def _semantic_fingerprint(self) -> tuple:
+        """:meth:`_rep_fingerprint` without the unconstrained variables."""
+        if self._fp is None:
+            mask = _edges(self._m)
+            keep = mask.any(axis=0) | mask.any(axis=1)
+            self._fp = self._rep_fingerprint() if keep.all() else (
+                (self._infeasible,) + _canonical(self._names, self._m, keep.tolist())
             )
-        return self._fingerprint
+        return self._fp
 
     def fingerprint(self) -> tuple:
         """Canonical fingerprint of the *closed* constraint system.
@@ -166,15 +266,14 @@ class ConstraintGraph:
         the matrix comparison this replaces).  Closes on demand.
         """
         self._ensure_closed()
-        rep = self._rep_fingerprint()
-        return (rep[0], rep[2])
+        return self._semantic_fingerprint()
 
     # -- snapshot serialization -------------------------------------------------
 
     def to_state(self) -> dict:
         """Representational state for the checkpoint codec.
 
-        Captures the raw bound matrix (closed or not), feasibility, the
+        Captures the explicit constraints (closed or not), feasibility, the
         closedness flag and the ablation switches — everything needed to
         rebuild a graph that behaves identically, including its canonical
         :meth:`fingerprint`.
@@ -196,10 +295,10 @@ class ConstraintGraph:
             naive_closure=bool(data.get("naive_closure", False)),
             naive_copy=bool(data.get("naive_copy", False)),
         )
-        for name in data["vars"]:
-            graph._bound.setdefault(name, {})
+        graph._add_vars(data["vars"])
         for src, dst, c in data["edges"]:
-            graph._bound.setdefault(src, {})[dst] = c
+            graph._add_vars((src, dst))
+            graph._m[graph._index[src], graph._index[dst]] = c
         graph._closed = bool(data["closed"])
         graph._infeasible = bool(data["infeasible"])
         return graph
@@ -209,20 +308,19 @@ class ConstraintGraph:
     def copy(self) -> "ConstraintGraph":
         """Copy sharing the stats sink.
 
-        Copy-on-write by default: the bound matrix is shared until either
-        side mutates.  With ``naive_copy`` the pre-PR-2 eager deep copy is
-        performed instead.
+        Copy-on-write by default: the storage is shared until either side
+        mutates.  With ``naive_copy`` an eager copy is made instead.
         """
         clone = ConstraintGraph(
             self._stats, self.naive_closure, naive_copy=self.naive_copy
         )
         if self.naive_copy:
-            clone._bound = {src: dict(dsts) for src, dsts in self._bound.items()}
+            clone._use(self._buf.copy(), list(self._names), dict(self._index))
         else:
             self._shared = True
-            clone._bound = self._bound
-            clone._shared = True
-            clone._fingerprint = self._fingerprint
+            clone._use(self._buf, self._names, self._index, shared=True)
+            clone._rep_fp = self._rep_fp
+            clone._fp = self._fp
             clone._equiv_cache = self._equiv_cache
             self._stats.record_cow_share()
         clone._closed = self._closed
@@ -237,21 +335,32 @@ class ConstraintGraph:
 
     def variables(self) -> Set[str]:
         """All tracked variable names (excluding the zero node)."""
-        return {name for name in self._bound if name != ZERO}
+        names = set(self._names)
+        names.discard(ZERO)
+        return names
+
+    def _add_vars(self, names: Iterable[str]) -> None:
+        """Track every new name in ``names`` (initially unconstrained)."""
+        fresh = [name for name in dict.fromkeys(names) if name not in self._index]
+        if fresh:
+            # closedness and the equivalence memos are unaffected, but the
+            # variable list is part of the representational fingerprint
+            self._materialize(len(fresh))
+            for name in fresh:
+                self._index[name] = len(self._names)
+                self._names.append(name)
+            n = len(self._names)
+            self._m = self._buf[:n, :n]
+            self._rep_fp = None
 
     def add_var(self, name: str) -> None:
         """Track a variable (initially unconstrained)."""
-        if name not in self._bound:
-            # no constraint is added: closedness and equivalence memos are
-            # unaffected, but the variable list (part of the representational
-            # fingerprint) grows and the matrix itself must be owned
-            self._materialize()
-            self._bound[name] = {}
-            self._fingerprint = None
+        if name not in self._index:
+            self._add_vars((name,))
 
     def has_var(self, name: str) -> bool:
         """True iff the variable is tracked."""
-        return name in self._bound
+        return name in self._index
 
     # -- constraint entry -------------------------------------------------------
 
@@ -266,10 +375,10 @@ class ConstraintGraph:
                 self._infeasible = True
                 self._invalidate()
             return
-        current = self._bound[x].get(y)
-        if current is None or c < current:
+        i, j = self._index[x], self._index[y]
+        if c < self._m[i, j]:
             self._materialize()
-            self._bound[x][y] = c
+            self._m[i, j] = c
             self._closed = False
             self._invalidate()
 
@@ -356,104 +465,23 @@ class ConstraintGraph:
             key = ("full",) + self._rep_fingerprint()
             hit = _CLOSURE_CACHE.get(key)
             if hit is not None:
-                cached_bound, cached_infeasible, cached_rep = hit
-                self._bound = cached_bound
-                self._shared = True
-                self._infeasible = self._infeasible or cached_infeasible
-                self._closed = True
-                self._fingerprint = cached_rep
+                self._adopt(hit)
+                self._infeasible = self._infeasible or hit[3]
                 self._stats.record_cache_hit()
                 return
-        names = [ZERO] + sorted(self.variables())
-        index = {name: i for i, name in enumerate(names)}
-        n = len(names)
-        use_numpy = (
-            caching and _np is not None and n >= _NUMPY_CLOSURE_MIN_VARS
-        )
+        self._materialize()
         with _obs.span("cgraph.closure.full"), timed() as clock:
-            if use_numpy:
-                # vectorized min-plus product; the naive ablation never takes
-                # this path, so the Section IX prototype cost model is intact
-                bound, infeasible = self._floyd_warshall_numpy(names, index, n)
+            if self.naive_closure:
+                infeasible = _floyd_warshall_python(self._m)
             else:
-                bound, infeasible = self._floyd_warshall_python(names, index, n)
-        self._stats.record_full(n - 1, clock.elapsed)
-        self._bound = bound
-        self._shared = False
+                infeasible = _floyd_warshall(self._m)
+        self._stats.record_full(len(self._names) - 1, clock.elapsed)
         self._infeasible = self._infeasible or infeasible
         self._closed = True
-        self._fingerprint = None
+        self._rep_fp = None
+        self._fp = None
         if caching:
-            _cache_store(key, (bound, infeasible, self._rep_fingerprint()))
-            self._shared = True
-
-    def _floyd_warshall_python(
-        self, names: List[str], index: Dict[str, int], n: int
-    ) -> Tuple[Dict[str, Dict[str, int]], bool]:
-        """The paper prototype's straightforward O(n^3) closure loop."""
-        matrix: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
-        for i in range(n):
-            matrix[i][i] = 0
-        for src, dsts in self._bound.items():
-            i = index[src]
-            for dst, c in dsts.items():
-                j = index[dst]
-                if matrix[i][j] is None or c < matrix[i][j]:
-                    matrix[i][j] = c
-        for k in range(n):
-            row_k = matrix[k]
-            for i in range(n):
-                via = matrix[i][k]
-                if via is None:
-                    continue
-                row_i = matrix[i]
-                for j in range(n):
-                    step = row_k[j]
-                    if step is None:
-                        continue
-                    total = via + step
-                    if row_i[j] is None or total < row_i[j]:
-                        row_i[j] = total
-        infeasible = any(
-            matrix[i][i] is not None and matrix[i][i] < 0 for i in range(n)
-        )
-        bound: Dict[str, Dict[str, int]] = {name: {} for name in names}
-        for i, src in enumerate(names):
-            row = matrix[i]
-            dsts = bound[src]
-            for j, dst in enumerate(names):
-                if i != j and row[j] is not None:
-                    dsts[dst] = row[j]
-        return bound, infeasible
-
-    def _floyd_warshall_numpy(
-        self, names: List[str], index: Dict[str, int], n: int
-    ) -> Tuple[Dict[str, Dict[str, int]], bool]:
-        """Vectorized min-plus closure (identical result to the loop)."""
-        inf = _np.inf
-        matrix = _np.full((n, n), inf)
-        _np.fill_diagonal(matrix, 0.0)
-        for src, dsts in self._bound.items():
-            i = index[src]
-            row = matrix[i]
-            for dst, c in dsts.items():
-                j = index[dst]
-                if c < row[j]:
-                    row[j] = c
-        for k in range(n):
-            _np.minimum(
-                matrix, matrix[:, k : k + 1] + matrix[k : k + 1, :], out=matrix
-            )
-        infeasible = bool((_np.diagonal(matrix) < 0).any())
-        rows = matrix.tolist()
-        bound: Dict[str, Dict[str, int]] = {name: {} for name in names}
-        for i, src in enumerate(names):
-            row = rows[i]
-            dsts = bound[src]
-            for j, dst in enumerate(names):
-                if i != j and row[j] != inf:
-                    dsts[dst] = int(row[j])
-        return bound, infeasible
+            _cache_store(key, self._cache_entry(infeasible))
 
     def close_incremental(self, x: str, y: str, c: int) -> None:
         """O(n^2) re-closure after adding the single constraint ``y <= x + c``.
@@ -471,61 +499,35 @@ class ConstraintGraph:
             key = ("incr", self._rep_fingerprint(), x, y, c)
             hit = _CLOSURE_CACHE.get(key)
             if hit is not None:
-                cached_bound, cached_infeasible, cached_rep = hit
-                self._bound = cached_bound
-                self._shared = True
-                self._infeasible = cached_infeasible
-                self._closed = True
-                self._fingerprint = cached_rep
+                self._adopt(hit)
+                self._infeasible = hit[3]
                 self._equiv_cache = {}
                 self._stats.record_cache_hit()
                 return
         self.add_var(x)
         self.add_var(y)
-        names = [ZERO] + sorted(self.variables())
+        n = len(self._names)
         with _obs.span("cgraph.closure.incremental"), timed() as clock:
-            existing = self._bound[x].get(y)
-            if existing is not None and existing <= c:
-                self._closed = True
-                self._stats.record_incremental(len(names) - 1, clock.elapsed)
-                self._memoize_incremental(key)
-                return
-            self._materialize()
-            self._invalidate()
-            self._bound[x][y] = c
+            i, j = self._index[x], self._index[y]
             if x == y:
+                # a self-loop only matters when negative (an empty cycle)
                 if c < 0:
                     self._infeasible = True
-                self._closed = True
-                self._stats.record_incremental(len(names) - 1, clock.elapsed)
-                self._memoize_incremental(key)
-                return
-            for u in names:
-                to_x = 0 if u == x else self._bound[u].get(x)
-                if to_x is None:
-                    continue
-                for v in names:
-                    from_y = 0 if v == y else self._bound[y].get(v)
-                    if from_y is None:
-                        continue
-                    total = to_x + c + from_y
-                    if u == v:
-                        if total < 0:
-                            self._infeasible = True
-                        continue
-                    current = self._bound[u].get(v)
-                    if current is None or total < current:
-                        self._bound[u][v] = total
+                    self._invalidate()
+            elif c < self._m[i, j]:
+                self._materialize()
+                self._invalidate()
+                matrix = self._m
+                to_x = matrix[:, i] + c
+                from_y = matrix[j, :]
+                if (to_x + from_y < 0).any():
+                    self._infeasible = True
+                np.minimum(matrix, to_x[:, None] + from_y[None, :], out=matrix)
+                np.fill_diagonal(matrix, 0.0)
         self._closed = True
-        self._stats.record_incremental(len(names) - 1, clock.elapsed)
-        self._memoize_incremental(key)
-
-    def _memoize_incremental(self, key: Optional[tuple]) -> None:
-        """Store the just-computed incremental closure under ``key``."""
-        if key is None:
-            return
-        _cache_store(key, (self._bound, self._infeasible, self._rep_fingerprint()))
-        self._shared = True
+        self._stats.record_incremental(n - 1, clock.elapsed)
+        if key is not None:
+            _cache_store(key, self._cache_entry(self._infeasible))
 
     # -- queries ---------------------------------------------------------------
 
@@ -536,9 +538,12 @@ class ConstraintGraph:
             return 0
         if x == y:
             return 0
-        if x not in self._bound or y not in self._bound:
+        i = self._index.get(x)
+        j = self._index.get(y)
+        if i is None or j is None:
             return None
-        return self._bound[x].get(y)
+        c = self._m[i, j]
+        return None if c == _INF else int(c)
 
     def entails_diff(self, x: str, y: str, c: int) -> bool:
         """True iff ``y <= x + c`` is implied."""
@@ -657,6 +662,7 @@ class ConstraintGraph:
                 # query adopts the dict of the new fingerprint
                 if len(_EQUIV_REGISTRY) >= _CLOSURE_CACHE_MAX:
                     _EQUIV_REGISTRY.clear()
+                    _VAR_PLUS.clear()
                 cache = self._equiv_cache = _EQUIV_REGISTRY.setdefault(
                     self.fingerprint(), self._equiv_cache
                 )
@@ -664,63 +670,51 @@ class ConstraintGraph:
             if hit is not None:
                 return set(hit)
             vocabulary = vocab
-        pairs = cache.get(_EQUIV_PAIRS_KEY) if cache is not None else None
-        if pairs is None:
-            pairs = self._equality_pairs()
-            if cache is not None:
-                cache[_EQUIV_PAIRS_KEY] = pairs
-        result = self._compute_equivalents(expr, vocabulary, pairs)
+        result = self._compute_equivalents(expr, vocabulary, cache)
         if key is not None:
             cache[key] = frozenset(result)
         return result
 
-    def _equality_pairs(self) -> Dict[str, List[Tuple[str, int]]]:
-        """``base -> [(other, forward)]`` with ``other == base + forward``.
-
-        Derived from the closed matrix (an equality is a pair of opposite
-        tight difference edges) once per semantics and memoized in the
-        shared equivalence cache: every ``equivalents`` query then walks
-        only the (tiny) equality class of its base variable instead of the
-        whole vocabulary.
-        """
-        pairs: Dict[str, List[Tuple[str, int]]] = {}
-        bound = self._bound
-        for base, row in bound.items():
-            entries = [
-                (other, forward)
-                for other, forward in row.items()
-                if bound.get(other, {}).get(base) == -forward
-            ]
-            if entries:
-                pairs[base] = entries
-        return pairs
+    def _equality_class(self, base: str) -> List[Tuple[str, int]]:
+        """``[(other, forward)]`` with ``other == base + forward``: the
+        opposite tight edges (``M[b, o] == -M[o, b]``) of the closed matrix.
+        Memoized per semantics, so an ``equivalents`` query walks only the
+        (tiny) class of its base variable instead of the vocabulary."""
+        i = self._index.get(base)
+        if i is None:
+            return []
+        row = self._m[i]
+        names = self._names
+        tight = np.flatnonzero(row == -self._m[:, i]).tolist()
+        return [(names[j], int(c)) for j, c in zip(tight, row[tight].tolist()) if j != i]
 
     def _compute_equivalents(
-        self,
-        expr: LinearExpr,
-        vocabulary: Iterable[str],
-        pairs: Dict[str, List[Tuple[str, int]]],
+        self, expr: LinearExpr, vocabulary: Iterable[str], cache: Optional[dict]
     ) -> Set[LinearExpr]:
         result: Set[LinearExpr] = {expr}
         if self._infeasible:
             return result
         split = expr.split_var_plus_const()
-        if split is not None:
-            base, offset = split
-            for other, forward in pairs.get(base, ()):
-                if other == ZERO:
-                    # ZERO == base + forward  =>  expr == offset - forward
-                    result.add(LinearExpr.const(offset - forward))
-                elif other in vocabulary:
-                    # other == base + forward  =>  expr == other + offset - forward
-                    result.add(LinearExpr._raw(offset - forward, ((other, 1),)))
+        # a constant is ZERO + constant
+        base, offset = split if split is not None else (ZERO, expr.as_constant())
+        if offset is None:
             return result
-        constant = expr.as_constant()
-        if constant is not None:
-            for other, forward in pairs.get(ZERO, ()):
-                # other == forward  =>  constant == other + (constant - forward)
-                if other in vocabulary:
-                    result.add(LinearExpr._raw(constant - forward, ((other, 1),)))
+        pairs = cache.get(base) if cache is not None else None
+        if pairs is None:
+            pairs = self._equality_class(base)
+            if cache is not None:
+                cache[base] = pairs
+        interned = _VAR_PLUS
+        for other, forward in pairs:
+            # other == base + forward  =>  expr == other + offset - forward
+            c = offset - forward
+            if other == ZERO:
+                result.add(LinearExpr.const(c))
+            elif other in vocabulary:
+                term = interned.get((other, c))
+                if term is None:
+                    term = interned[(other, c)] = LinearExpr._raw(c, ((other, 1),))
+                result.add(term)
         return result
 
     # -- transfer ---------------------------------------------------------------
@@ -728,40 +722,34 @@ class ConstraintGraph:
     def havoc(self, name: str) -> None:
         """Forget everything about a variable (e.g. ``x = input()``)."""
         self._ensure_closed()
-        if name not in self._bound:
+        i = self._index.get(name)
+        if i is None:
             self.add_var(name)
             return
         self._materialize()
         self._invalidate()
-        self._bound[name] = {}
-        for src, dsts in self._bound.items():
-            dsts.pop(name, None)
+        matrix = self._m
+        matrix[i, :] = _INF
+        matrix[:, i] = _INF
+        matrix[i, i] = 0.0
         # projection of a closed graph stays closed
 
     def remove_var(self, name: str) -> None:
         """Project a variable out entirely."""
-        self._ensure_closed()
-        if name not in self._bound:
-            return
-        self._materialize()
-        self._invalidate()
-        del self._bound[name]
-        for dsts in self._bound.values():
-            dsts.pop(name, None)
+        self.remove_vars((name,))
 
     def remove_vars(self, names: Iterable[str]) -> None:
         """Project several variables out."""
         self._ensure_closed()
-        doomed = set(names)
-        if not any(name in self._bound for name in doomed):
+        index = self._index
+        doomed = {index[name] for name in names if name in index}
+        if not doomed:
             return
-        self._materialize()
+        keep = [i for i in range(len(self._names)) if i not in doomed]
+        if self._shared:
+            self._stats.record_cow_materialization()
         self._invalidate()
-        for name in doomed:
-            self._bound.pop(name, None)
-        for dsts in self._bound.values():
-            for name in doomed:
-                dsts.pop(name, None)
+        self._use(_sub(self._m, keep), [self._names[i] for i in keep])
 
     def assign(self, target: str, expr: Optional[LinearExpr]) -> None:
         """Transfer function for ``target = expr``.
@@ -788,17 +776,14 @@ class ConstraintGraph:
             return
         base, offset = split
         if base == target:
-            # x := x + c  — shift every bound that mentions x
+            # x := x + c  — shift every bound that mentions x (the diagonal
+            # entry moves by +c and -c, staying 0)
             self.add_var(target)
             self._materialize()
             self._invalidate()
-            for src, dsts in self._bound.items():
-                if src == target:
-                    continue
-                if target in dsts:
-                    dsts[target] += offset
-            for dst in list(self._bound[target]):
-                self._bound[target][dst] -= offset
+            t = self._index[target]
+            self._m[:, t] += offset
+            self._m[t, :] -= offset
             return
         self.havoc(target)
         self.add_var(base)
@@ -806,15 +791,16 @@ class ConstraintGraph:
         self.close_incremental(target, base, -offset)
 
     def rename(self, mapping: Mapping[str, str]) -> None:
-        """Rename variables (used when process-set ids change)."""
-        def rn(name: str) -> str:
-            return mapping.get(name, name)
+        """Rename variables (used when process-set ids change).
 
-        self._bound = {
-            rn(src): {rn(dst): c for dst, c in dsts.items()}
-            for src, dsts in self._bound.items()
-        }
-        self._shared = False
+        Relabels the index only; the matrix is not copied.  The renaming
+        must be injective on the tracked variables.
+        """
+        names = [mapping.get(name, name) for name in self._names]
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != len(names):
+            raise ValueError("rename would merge two tracked variables")
+        self._names, self._index = names, index
         self._invalidate()
 
     def copy_namespace_from(
@@ -829,23 +815,48 @@ class ConstraintGraph:
         splits.
         """
         self._ensure_closed()
-        sources = set(source_vars)
-        for new_name in mapping.values():
-            self.add_var(new_name)
-        additions: List[Tuple[str, str, int]] = []
-        for src, dsts in self._bound.items():
-            for dst, c in dsts.items():
-                src_in = src in sources
-                dst_in = dst in sources
-                if not (src_in or dst_in):
-                    continue
-                new_src = mapping.get(src, src) if src_in else src
-                new_dst = mapping.get(dst, dst) if dst_in else dst
-                additions.append((new_src, new_dst, c))
-        for src, dst, c in additions:
-            self.add_diff(src, dst, c)
+        self._add_vars(mapping.values())
+        if self._infeasible:
+            return
+        index = self._index
+        n = len(self._names)
+        image = np.arange(n)
+        for name in set(source_vars) & index.keys():
+            image[index[name]] = index[mapping.get(name, name)]
+        moved = image != np.arange(n)
+        rows, cols = np.nonzero(_edges(self._m) & (moved[:, None] | moved[None, :]))
+        values = self._m[rows, cols]
+        rows, cols = image[rows], image[cols]
+        loops = rows == cols
+        if (values[loops] < 0).any():
+            self._infeasible = True  # a copied cycle is empty
+            self._invalidate()
+            return
+        rows, cols, values = rows[~loops], cols[~loops], values[~loops]
+        if (values < self._m[rows, cols]).any():
+            self._materialize()
+            np.minimum.at(self._m, (rows, cols), values)
+            self._closed = False
+            self._invalidate()
 
     # -- lattice ----------------------------------------------------------------
+
+    def _pointwise(self, other: "ConstraintGraph", combine) -> "ConstraintGraph":
+        """A fresh graph over both variable sets whose bound between two
+        shared variables is ``combine(mine, theirs)``; every other pair is
+        unconstrained."""
+        result = ConstraintGraph(self._stats, self.naive_closure, self.naive_copy)
+        if self._names == other._names:
+            result._use(combine(self._m, other._m), list(self._names))
+            return result
+        theirs = other._index
+        names = self._names + [name for name in other._names if name not in self._index]
+        shared = [i for i, name in enumerate(self._names) if name in theirs]
+        mapped = [theirs[self._names[i]] for i in shared]
+        buf = _blank(len(names))
+        buf[np.ix_(shared, shared)] = combine(_sub(self._m, shared), _sub(other._m, mapped))
+        result._use(buf, names)
+        return result
 
     def join(self, other: "ConstraintGraph") -> "ConstraintGraph":
         """Least upper bound (union of solution sets, convex-hull approx)."""
@@ -855,26 +866,14 @@ class ConstraintGraph:
             return other.copy()
         if other._infeasible:
             return self.copy()
-        result = ConstraintGraph(self._stats, naive_copy=self.naive_copy)
-        for name in self.variables() | other.variables():
-            result.add_var(name)
-        for src, dsts in self._bound.items():
-            other_dsts = other._bound.get(src)
-            if other_dsts is None:
-                continue
-            for dst, c in dsts.items():
-                oc = other_dsts.get(dst)
-                if oc is not None:
-                    result._bound.setdefault(src, {})[dst] = max(c, oc)
-        result._closed = True  # max of two closed DBMs is closed
-        return result
+        # max of two closed DBMs is closed
+        return self._pointwise(other, np.maximum)
 
     def meet(self, other: "ConstraintGraph") -> "ConstraintGraph":
         """Greatest lower bound (conjunction of both constraint sets)."""
         result = self.copy()
-        for src, dsts in other._bound.items():
-            for dst, c in dsts.items():
-                result.add_diff(src, dst, c)
+        for src, dst, c in other._edge_items():
+            result.add_diff(src, dst, c)
         result._closed = False
         return result
 
@@ -886,25 +885,17 @@ class ConstraintGraph:
             return newer.copy()
         if newer._infeasible:
             return self.copy()
-        result = ConstraintGraph(self._stats, naive_copy=self.naive_copy)
-        for name in self.variables() | newer.variables():
-            result.add_var(name)
-        for src, dsts in self._bound.items():
-            newer_dsts = newer._bound.get(src, {})
-            for dst, c in dsts.items():
-                nc = newer_dsts.get(dst)
-                if nc is not None and nc <= c:
-                    result._bound.setdefault(src, {})[dst] = c
-        # deliberately NOT closed: re-closing after widening can undo it;
+        # deliberately NOT re-closed: re-closing after widening can undo it;
         # the result is still a sound (weaker) constraint set
-        result._closed = True
-        return result
+        return self._pointwise(
+            newer, lambda mine, theirs: np.where(theirs <= mine, mine, _INF)
+        )
 
     def equivalent_to(self, other: "ConstraintGraph") -> bool:
         """Semantic equality of two constraint graphs.
 
         Compares cached canonical fingerprints of the closed systems — a
-        hash comparison instead of two fresh closures plus a matrix walk.
+        bytes comparison instead of two fresh closures plus a matrix walk.
         Already-closed graphs (the common case: both sides of an engine
         fixed-point check) are never re-closed, even under the
         ``naive_closure`` ablation, which used to run two full O(n^3)
@@ -915,20 +906,15 @@ class ConstraintGraph:
                 graph.close()
         if self._infeasible or other._infeasible:
             return self._infeasible == other._infeasible
-        if self._bound is other._bound:
+        if self._buf is other._buf and self._names is other._names:
             return True  # COW siblings, no mutation since the share
-        # compare only the constraint sets: variables that are tracked but
-        # unconstrained are invisible, exactly like the matrix walk this
-        # replaces
-        return self._rep_fingerprint()[2] == other._rep_fingerprint()[2]
+        # variables that are tracked but unconstrained are invisible
+        return self._semantic_fingerprint() == other._semantic_fingerprint()
 
     def __repr__(self) -> str:
         if self._infeasible:
             return "ConstraintGraph(bottom)"
-        parts = []
-        for src in sorted(self._bound):
-            for dst, c in sorted(self._bound[src].items()):
-                parts.append(f"{dst} <= {src} + {c}")
+        parts = [f"{dst} <= {src} + {c}" for src, dst, c in self._edge_items()]
         return f"ConstraintGraph({'; '.join(parts)})"
 
 
