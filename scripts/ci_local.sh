@@ -6,8 +6,6 @@
 #                  ruff is not installed; CI installs it from PyPI)
 #   test        -> PYTHONPATH=src python -m pytest -x -q      (one local
 #                  interpreter stands in for the 3.9-3.12 matrix)
-#   chaos       -> the fault-injection suite at a fixed seed (CHAOS_SEED,
-#                  default 1337, printed so failures reproduce exactly)
 #   fault-smoke -> the fault-plane test suite plus the seeded invariant
 #                  sweep (`repro faults --require-coverage`); failures
 #                  print a `--replay <label>` command that reproduces
@@ -64,13 +62,6 @@ export PYTHONPATH
 
 step "test (python $(python -c 'import sys; print("%d.%d" % sys.version_info[:2])'))" \
   python -m pytest -x -q
-CHAOS_SEED="${CHAOS_SEED:-1337}"
-export CHAOS_SEED
-echo
-echo "(chaos seed: CHAOS_SEED=${CHAOS_SEED}; reproduce failures with" \
-  "CHAOS_SEED=${CHAOS_SEED} pytest tests/core/test_chaos.py -m chaos)"
-step "chaos: fault-injection suite" \
-  python -m pytest tests/core/test_chaos.py -m chaos -q
 FAULT_SEED="${FAULT_SEED:-1337}"
 export FAULT_SEED
 step "fault-smoke: fault-plane unit and hardening suite" \

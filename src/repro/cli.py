@@ -644,16 +644,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help='per-tenant QoS budgets as JSON: {"name": {"deadline_sec": ..., '
              '"max_steps": ..., "max_state_bytes": ...}}',
     )
-    parser.add_argument(
-        "--inline", action="store_true",
-        help="run attempts in worker threads instead of disposable worker "
-             "processes (tests/bench; no crash isolation)",
-    )
-    parser.add_argument(
-        "--allow-test-faults", action="store_true",
-        help="honor test_fault injection directives in requests (crash "
-             "tests only; never in production)",
-    )
     _add_log_level(parser)
     return parser
 
@@ -675,10 +665,8 @@ def serve_main(argv) -> int:
         workers=args.workers,
         queue_size=args.queue_size,
         degrade_at=args.degrade_at,
-        isolation="inline" if args.inline else "process",
         retry=RetryPolicy(max_retries=args.max_retries),
         job_timeout_sec=args.job_timeout,
-        allow_test_faults=args.allow_test_faults,
         tenants=tenants,
     )
     run_server(

@@ -35,6 +35,7 @@ from repro.core import diagnostics
 from repro.core import progress as progress_hooks
 from repro.core.engine import AnalysisResult, EngineLimits
 from repro.core.topology import MatchRecord, StaticTopology
+from repro.faults import plane as faults
 from repro.obs import recorder as obs
 from repro.obs import slog
 from repro.obs import trace
@@ -303,6 +304,7 @@ def analyze_with_fallback(
 
 def _batch_worker(task: tuple) -> tuple:
     """Analyze one batch item in a worker process."""
+    faults.uninstall()  # inherited over fork; see FaultPlane
     item, limits, ladder, capture = task
     if capture:
         with obs.recording() as recorder:

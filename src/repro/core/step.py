@@ -39,11 +39,18 @@ from repro.core.client import (
 from repro.core.errors import ClientFault, GiveUp, MalformedCFG
 from repro.core.pcfg import PCFGEdge, PCFGNodeKey
 from repro.core.topology import MatchRecord
+from repro.faults import plane as faults
 from repro.lang.cfg import NodeKind
 from repro.obs import recorder as obs
 
 #: exceptions the schedulers localize to a ``T`` at one pCFG node
 RECOVERABLE = (GiveUp, ClientFault, MalformedCFG)
+
+#: callbacks whose return value is a client state (what a
+#: ``client.callback.corrupt`` fault replaces)
+STATE_CALLBACKS = frozenset(
+    {"initial", "transfer", "merge_psets", "remove_pset", "rename", "join", "widen"}
+)
 
 
 class StepCore:
@@ -61,13 +68,25 @@ class StepCore:
         """Invoke one client callback, converting unexpected exceptions
         into :class:`ClientFault` so a buggy client cannot take down the
         engine.  ``GiveUp`` and ``MalformedCFG`` pass through — they are
-        the sanctioned control-flow signals."""
+        the sanctioned control-flow signals.  The fault plane's
+        ``client.callback.*`` points bite here: ``raise`` before the
+        callback runs, ``corrupt`` in place of a state it returns."""
+        plane = faults.active()
         try:
-            return fn(*args)
+            if plane is not None and plane.check("client.callback.raise") is not None:
+                raise faults.InjectedFault(f"injected fault in {callback!r}")
+            value = fn(*args)
         except RECOVERABLE:
             raise
         except Exception as exc:
             raise ClientFault(callback, exc) from exc
+        if (
+            plane is not None
+            and callback in STATE_CALLBACKS
+            and plane.check("client.callback.corrupt") is not None
+        ):
+            return faults.CorruptedState(callback)
+        return value
 
     @staticmethod
     def _safe_provenance_data(fn, *args):

@@ -26,14 +26,18 @@ invariants the service claims to hold *under faults*:
     Every on-disk cache entry parses, checksums, and is non-degraded —
     a fault may evict cache entries, never poison them.
 ``http-hardening``
-    Oversized bodies, malformed JSON, lexer garbage, and pathologically
-    nested programs each get a *structured 4xx* and none of them trips
+    Oversized bodies, malformed JSON, lexer garbage, pathologically
+    nested programs, and malformed budget fields each get a *structured 4xx* and none of them trips
     the circuit breaker (client bugs must not look like rung failures).
 ``metrics-scrape``
     Scraping ``/metrics`` while the plane injects render failures always
     answers 200 with parseable Prometheus text (the fallback exposition
     at worst) and leaves the daemon healthy — telemetry must never take
     down the service it watches.
+
+Client-callback faults (``client.callback.*``) run on the service
+channel, whose inline attempts drive the engine in-process: the
+invariants above check them end to end.
 
 Each case is a fresh state directory and a fresh fault plane, so any
 failure reproduces from its schedule label alone (``repro faults
@@ -47,7 +51,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import queue
 import threading
 import urllib.error
 import urllib.request
@@ -451,6 +454,12 @@ def _fuzz_battery() -> List[Tuple[str, bytes]]:
         ("deep-nesting", json.dumps({"program": deep}).encode()),
         ("oversized-program",
          json.dumps({"program": "x = 1\n" * 600_000}).encode()),
+        ("string-deadline", b'{"program": "x = 1", "deadline_sec": "abc"}'),
+        ("nan-deadline", b'{"program": "x = 1", "deadline_sec": NaN}'),
+        ("list-max-steps", b'{"program": "x = 1", "max_steps": [1]}'),
+        ("negative-max-steps", b'{"program": "x = 1", "max_steps": -5}'),
+        ("object-max-state-bytes",
+         b'{"program": "x = 1", "max_state_bytes": {"a": 1}}'),
     ]
 
 
@@ -611,8 +620,6 @@ def run_case(base_seed: int, case_index: int, state_root: Path) -> CaseResult:
             _run_metrics_case(state_dir, programs, case)
         else:
             _run_service_case(state_dir, programs, case)
-    except queue.Full:
-        pass  # structured shed under injected overflow: acceptable
     except Exception as exc:
         case.fail("service-answers", f"harness-visible crash: {exc!r}")
     finally:

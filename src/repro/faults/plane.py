@@ -1,10 +1,9 @@
 """Deterministic, seeded cross-layer fault plane.
 
-Every prior robustness mechanism injects faults into *one* layer: the
-chaos suite perturbs the engine, the crash suite SIGKILLs the daemon.
-This module is the shared switchboard those layers (and everything
-between them) register with, so one seeded schedule can misbehave
-anywhere in the pipeline and the invariant harness
+This module is the one fault injector of the repository: every layer
+from the engine's client-callback guard to the HTTP response path
+registers its injection points here, so one seeded schedule can
+misbehave anywhere in the pipeline and the invariant harness
 (:mod:`repro.faults.invariants`) can check the end-to-end answer stays
 sound.
 
@@ -12,8 +11,9 @@ Design, mirroring :mod:`repro.obs.provenance`:
 
 * **Named injection points** (:data:`CATALOG`) live at trust boundaries:
   disk writes in the checkpointer/cache/journal, cache reads, the
-  daemon's attempt worker, queue and clock, the HTTP response path and
-  the ``/metrics`` render.  Instrumented code calls
+  daemon's attempt worker, queue and clock, the HTTP response path, the
+  ``/metrics`` render and the engine's client-callback guard.
+  Instrumented code calls
   :func:`check(point) <check>`; the call answers ``None`` ("behave") or
   a :class:`PlannedFault` ("misbehave now, like this").
 * **Zero cost when disabled**: the process-global plane is ``None`` by
@@ -51,7 +51,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 #: point ``k mod len(CATALOG)``, so a label only names the same schedule
 #: under the catalog it was printed against.  Unversioned labels predate
 #: versioning and count as version 1.
-CATALOG_VERSION = 2
+CATALOG_VERSION = 3
 
 #: every registered injection point, name -> where it bites.  Ordered:
 #: case ``k`` of a sweep forces point ``k mod len(CATALOG)``, so the
@@ -71,6 +71,8 @@ CATALOG: "Dict[str, str]" = {
     "daemon.queue.overflow": "the admission queue reports full",
     "http.client.disconnect": "the HTTP client hangs up before the response",
     "metrics.render.fail": "the /metrics registry render raises mid-scrape",
+    "client.callback.raise": "a client analysis callback raises",
+    "client.callback.corrupt": "a client callback returns a corrupted state",
 }
 
 
@@ -170,10 +172,11 @@ class FaultPlane:
     """The live switchboard: arrival counting + planned-fault matching.
 
     Thread-safe — daemon worker threads, HTTP request threads, and the
-    parent side of process pools all consult the same plane.  Worker
-    *processes* do not inherit a live plane (the module global resets on
-    fork via the schedule being consulted parent-side); process-crossing
-    faults are decided in the parent and shipped with the task.
+    parent side of process pools all consult the same plane.  A forked
+    worker inherits the module global, so each worker entry point
+    uninstalls it first (a child's arrivals would never reach the
+    parent's coverage); process-crossing faults are decided in the
+    parent and shipped with the task.
     """
 
     def __init__(self, schedule: FaultSchedule):
@@ -269,6 +272,27 @@ def corrupt_bytes(raw: bytes, arg: float) -> bytes:
     return raw[:index] + bytes([flipped]) + raw[index + 1:]
 
 
+class InjectedFault(RuntimeError):
+    """The exception an injected client-callback fault raises."""
+
+
+class CorruptedState:
+    """What ``client.callback.corrupt`` returns in place of a client state.
+
+    Raises :class:`InjectedFault` on any attribute access, so the damage
+    surfaces later, inside whichever callback next touches the state —
+    far from the fault site, the way a buggy client's garbage does.
+    """
+
+    def __init__(self, origin: str):
+        self._origin = origin
+
+    def __getattr__(self, name):
+        raise InjectedFault(
+            f"corrupted state (injected at {self._origin!r}) accessed via .{name}"
+        )
+
+
 __all__ = [
     "CATALOG",
     "CATALOG_VERSION",
@@ -282,6 +306,8 @@ __all__ = [
     "engaged",
     "check",
     "corrupt_bytes",
+    "InjectedFault",
+    "CorruptedState",
     "parse_label",
     "replay_hint",
 ]

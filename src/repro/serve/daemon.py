@@ -43,11 +43,13 @@ records stay addressable, and the journal is compacted.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
 import queue
 import random
+import sys
 import threading
 import time
 import uuid
@@ -105,9 +107,6 @@ class AnalyzeRequest:
     deadline_sec: Optional[float] = None
     max_steps: Optional[int] = None
     max_state_bytes: Optional[int] = None
-    #: fault-injection hook for crash tests; honored only when the
-    #: service was started with ``allow_test_faults=True``
-    test_fault: Optional[dict] = None
 
     def to_json(self) -> dict:
         doc = {"program": self.program, "tenant": self.tenant}
@@ -117,22 +116,36 @@ class AnalyzeRequest:
             doc["max_steps"] = self.max_steps
         if self.max_state_bytes is not None:
             doc["max_state_bytes"] = self.max_state_bytes
-        if self.test_fault is not None:
-            doc["test_fault"] = self.test_fault
         return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "AnalyzeRequest":
+        """Validate a request document; ``ValueError`` names the bad field."""
         if not isinstance(doc, dict) or not isinstance(doc.get("program"), str):
             raise ValueError("request must be an object with a 'program' string")
         return cls(
             program=doc["program"],
             tenant=str(doc.get("tenant", "default")),
-            deadline_sec=doc.get("deadline_sec"),
-            max_steps=doc.get("max_steps"),
-            max_state_bytes=doc.get("max_state_bytes"),
-            test_fault=doc.get("test_fault"),
+            deadline_sec=_budget_field(doc, "deadline_sec", integral=False),
+            max_steps=_budget_field(doc, "max_steps", integral=True),
+            max_state_bytes=_budget_field(doc, "max_state_bytes", integral=True),
         )
+
+
+def _budget_field(doc: dict, name: str, *, integral: bool):
+    """A requested budget: null/absent, or a finite number >= 0 (an
+    integer when ``integral``).  Anything else is the client's bug."""
+    value = doc.get(name)
+    kinds = int if integral else (int, float)
+    # the range test also rejects NaN, infinities and ints past float range
+    if value is None or (
+        isinstance(value, kinds)
+        and not isinstance(value, bool)
+        and 0 <= value <= sys.float_info.max
+    ):
+        return value
+    kind = "integer" if integral else "number"
+    raise ValueError(f"'{name}' must be a finite {kind} >= 0 or null")
 
 
 @dataclass
@@ -162,7 +175,6 @@ class ServiceConfig:
     #: process-pool width handed to ``analyze_batch`` for batch jobs
     batch_jobs: int = 1
     cache_entries: int = 4096
-    allow_test_faults: bool = False
     tenants: Dict[str, TenantBudget] = field(default_factory=dict)
 
     def budget_for(self, tenant: str) -> TenantBudget:
@@ -196,11 +208,6 @@ class Job:
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self.done.wait(timeout)
 
-    def subscribe(self) -> "queue.Queue":
-        subscriber: "queue.Queue" = queue.Queue()
-        self.subscribers.append(subscriber)
-        return subscriber
-
     def publish(self, event: dict) -> None:
         for subscriber in list(self.subscribers):
             try:
@@ -212,42 +219,20 @@ class Job:
     def trace_id(self) -> Optional[str]:
         return self.trace.get("trace") if isinstance(self.trace, dict) else None
 
-    def status(self) -> dict:
-        doc = {"job": self.id, "state": self.state, "kind": self.kind}
-        if self.result is not None:
-            doc["result"] = self.result
-        return doc
-
 
 # -- worker-process attempt execution -----------------------------------------
 
 
-def _apply_test_fault(fault: Optional[dict]) -> None:
-    """Honor a fault-injection directive inside the worker process.
-
-    ``{"kind": "crash"}`` kills the worker outright (SIGKILL-equivalent:
-    ``os._exit``, no cleanup).  ``{"kind": "hang_if_missing", "path": p}``
-    hangs unless the marker file exists — a crash test restarts the
-    daemon, touches the marker, and watches the replayed job succeed.
-    ``{"kind": "sleep", "sec": s}`` delays, for queue-pressure tests.
-    """
-    if not fault:
-        return
-    kind = fault.get("kind")
-    if kind == "crash":
-        os._exit(3)
-    elif kind == "hang_if_missing":
-        if not Path(str(fault.get("path", ""))).exists():
-            time.sleep(float(fault.get("sec", 600.0)))
-    elif kind == "sleep":
-        time.sleep(float(fault.get("sec", 0.1)))
-
-
 def _attempt_child(
-    conn, source, limits, ladder_kind, resume_payload, capture, fault,
+    conn, source, limits, ladder_kind, resume_payload, capture, crash,
     trace_ctx=None, trace_sink=None, stream=False,
 ):
     """Worker-process body: run the ladder, ship a JSON-plain reply.
+
+    The forked child drops the inherited fault plane first: its arrivals
+    could never reach the parent's coverage.  ``crash`` (an injected
+    ``daemon.worker.kill``, decided parent-side) kills the worker outright
+    — ``os._exit``, no cleanup, no reply — as a SIGKILL would.
 
     Everything sent back is plain dicts/lists/scalars, so the reply
     never trips on pickling a domain object, and the parent can journal
@@ -257,8 +242,10 @@ def _attempt_child(
     forwarded over the pipe as ``("progress", event)`` messages ahead of
     the final 4-tuple reply.
     """
+    faults.uninstall()
     try:
-        _apply_test_fault(fault)
+        if crash:
+            os._exit(3)
         if trace_sink:
             trace.configure_sink(trace_sink, "worker")
         span_ctx = trace.TraceContext.from_dict(trace_ctx) if trace_ctx else None
@@ -270,7 +257,7 @@ def _attempt_child(
                 except Exception:  # a dead pipe must not kill the attempt
                     pass
         with trace.activate(span_ctx), trace.span("serve.attempt", ladder=ladder_kind):
-            with obs.recording() if capture else _null_context() as _:
+            with obs.recording() if capture else contextlib.nullcontext():
                 program = parse(source)
                 ladder = (
                     baseline_ladder(limits) if ladder_kind == "baseline" else default_ladder(limits)
@@ -295,14 +282,6 @@ def _attempt_child(
             conn.close()
         except Exception:
             pass
-
-
-class _null_context:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
 
 
 def _fork_context():
@@ -501,8 +480,6 @@ class AnalysisService:
         execution emits — subscribing after submit would race the worker.
         The thread's active trace context (if any) becomes the job's.
         """
-        if request.test_fault is not None and not self.config.allow_test_faults:
-            request = replace(request, test_fault=None)
         span_ctx = trace.current()
         try:
             key, cfg_fp, limits = self._admission_identity(request)
@@ -572,8 +549,6 @@ class AnalysisService:
         prelim: List[Optional[dict]] = []
         misses: List[AnalyzeRequest] = []
         for request in requests:
-            if request.test_fault is not None and not self.config.allow_test_faults:
-                request = replace(request, test_fault=None)
             try:
                 key, _cfg_fp, _limits = self._admission_identity(request)
             except ParseError as exc:
@@ -748,15 +723,12 @@ class AnalysisService:
         reply pipe and this side fans them out."""
         request = job.request
         limits = limits if limits is not None else job.limits
-        fault = request.test_fault if self.config.allow_test_faults else None
-        if faults.check("daemon.worker.kill") is not None:
-            # decided parent-side so the plane's coverage accounting stays
-            # in one process; in process isolation the child honors the
-            # same crash directive the SIGKILL crash suite uses
-            fault = {"kind": "crash"}
+        # decided parent-side so the plane's coverage accounting stays in
+        # one process; a process-isolated child is told to die
+        crash = faults.check("daemon.worker.kill") is not None
         if self.config.isolation == "inline":
             return self._execute_inline(
-                request, limits, ladder_kind, warm, fault, progress=progress
+                request, limits, ladder_kind, warm, crash, progress=progress
             )
         timeout = self._attempt_timeout(limits, ladder_kind)
         span_ctx = trace.current()
@@ -768,7 +740,7 @@ class AnalysisService:
             args=(
                 child_conn, request.program, limits, ladder_kind,
                 warm.payload if warm is not None else None,
-                obs.enabled(), fault,
+                obs.enabled(), crash,
                 span_ctx.to_dict() if span_ctx is not None else None,
                 str(sink) if sink is not None else None,
                 progress is not None,
@@ -819,13 +791,11 @@ class AnalysisService:
             obs.incr("serve.cache.warm_starts")
         return payload, snapshot_payload
 
-    def _execute_inline(self, request, limits, ladder_kind, warm, fault, progress=None):
+    def _execute_inline(self, request, limits, ladder_kind, warm, crash, progress=None):
         """In-thread attempt (tests / bench): per-job recorder isolation
         via ``job_recording`` keeps concurrent jobs' counters separate."""
-        if fault and fault.get("kind") == "crash":
+        if crash:
             raise TransientJobError("injected crash")
-        if fault and fault.get("kind") == "sleep":
-            time.sleep(float(fault.get("sec", 0.1)))
         program = parse(request.program)
         ladder = baseline_ladder(limits) if ladder_kind == "baseline" else default_ladder(limits)
         with trace.span("serve.attempt", ladder=ladder_kind), obs.job_recording() as recorder:

@@ -10,6 +10,8 @@ from repro.core.driver import (
     escalate,
 )
 from repro.core.engine import EngineLimits
+from repro.faults import plane
+from repro.faults.plane import FaultSchedule, PlannedFault
 from repro.lang import programs
 from repro.lang.cfg import build_cfg
 from repro.obs import recorder as obs
@@ -131,3 +133,14 @@ def test_parallel_batch_merges_worker_counters():
     with obs.recording() as recorder:
         list(analyze_batch(items, jobs=2))
     assert recorder.counters.get("engine.steps", 0) > 0
+
+
+def test_parallel_batch_workers_drop_the_inherited_fault_plane():
+    # every client callback raises, but only in this process: a forked
+    # pool worker must not inherit the live plane
+    every_callback = FaultSchedule([PlannedFault("client.callback.raise", count=10**9)])
+    items = [programs.get(name) for name in BATCH_CORPUS[:2]]
+    with plane.engaged(every_callback) as live:
+        reports = [report for _item, report in analyze_batch(items, jobs=2)]
+    assert live.coverage()["client.callback.raise"]["hits"] == 0
+    assert all(report.result.confidence == diagnostics.EXACT for report in reports)

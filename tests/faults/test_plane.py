@@ -8,8 +8,10 @@ from repro.faults import plane
 from repro.faults.plane import (
     CATALOG,
     CATALOG_VERSION,
+    CorruptedState,
     FaultPlane,
     FaultSchedule,
+    InjectedFault,
     PlannedFault,
     corrupt_bytes,
     parse_label,
@@ -51,7 +53,8 @@ def test_planned_fault_window():
 def test_schedule_for_case_is_deterministic():
     a = FaultSchedule.for_case(1337, 5)
     b = FaultSchedule.for_case(1337, 5)
-    assert a.label == b.label == f"v{CATALOG_VERSION}:1337:5"
+    assert a.label == b.label == "v3:1337:5"
+    assert CATALOG_VERSION == 3
     assert [(p.point, p.hit, p.count, p.arg) for p in a.plans] == [
         (p.point, p.hit, p.count, p.arg) for p in b.plans
     ]
@@ -102,6 +105,12 @@ def test_plane_counts_arrivals_and_firings():
 def test_unknown_point_counts_but_never_fires():
     fault_plane = FaultPlane(FaultSchedule(plans=(), label="t"))
     assert fault_plane.check("nonexistent.fault.point") is None
+
+
+def test_corrupted_state_explodes_on_first_use():
+    state = CorruptedState("join")
+    with pytest.raises(InjectedFault, match="injected at 'join'"):
+        state.constraints
 
 
 def test_corrupt_bytes_always_differs():

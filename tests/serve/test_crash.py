@@ -12,10 +12,10 @@ after ``done`` — restarts it on the same state directory, and verifies:
   through the daemon's own obs counters via ``/stats``);
 * completed results survive the restart byte-for-byte.
 
-The hang during the "started" phase is deterministic: the job carries a
-``hang_if_missing`` fault directive, so the first daemon's worker blocks
-until the test touches the marker file — which it only does after the
-restart.
+The hang during the "started" phase is deterministic: the daemon runs
+under ``gated_serve.py``, which holds every analysis until a marker file
+exists, so the first daemon's worker blocks until the test touches the
+marker — which it only does after the restart.
 """
 
 from __future__ import annotations
@@ -29,12 +29,14 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
 from repro.corpus.generator import generate
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+GATED_SERVE = Path(__file__).resolve().parent / "gated_serve.py"
 
 
 class Daemon:
@@ -45,17 +47,22 @@ class Daemon:
         self.process = None
         self.base = None
 
-    def start(self, extra_args=()):
+    def start(self, gate: Optional[Path] = None):
+        """Start the daemon; with ``gate``, every analysis waits until
+        that marker file exists."""
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        launcher = (
+            [str(GATED_SERVE), str(gate)] if gate is not None
+            else ["-m", "repro.cli", "serve"]
+        )
         self.process = subprocess.Popen(
             [
-                sys.executable, "-m", "repro.cli", "serve",
+                sys.executable, *launcher,
                 "--state-dir", str(self.state_dir),
                 "--port", "0", "--workers", "1",
-                "--allow-test-faults", "--max-retries", "0",
+                "--max-retries", "0",
                 "--job-timeout", "60",
-                *extra_args,
             ],
             env=env,
             cwd=str(REPO_ROOT),
@@ -152,20 +159,13 @@ def daemon(tmp_path):
 
 
 def test_sigkill_while_job_runs_then_recover(daemon):
-    """Phase: after ``started``.  The worker is wedged on the fault; the
+    """Phase: after ``started``.  The worker is wedged on the gate; the
     daemon dies; the restarted daemon replays the journal and finishes
     the job under its original id."""
     marker = daemon.state_dir / "unblock.marker"
-    daemon.start()
+    daemon.start(gate=marker)
     source = generate(101).source
-    code, body = daemon.post(
-        "/v1/analyze",
-        {
-            "program": source, "wait": False,
-            "test_fault": {"kind": "hang_if_missing",
-                           "path": str(marker), "sec": 45},
-        },
-    )
+    code, body = daemon.post("/v1/analyze", {"program": source, "wait": False})
     assert code == 202
     job_id = body["job"]
     assert daemon.wait_for_event("started", job_id)
@@ -191,14 +191,10 @@ def test_sigkill_after_accept_before_start(daemon):
     wedged on a hanging job accumulates a queued second job; the SIGKILL
     lands while that job has only its accepted record."""
     marker = daemon.state_dir / "unblock.marker"
-    daemon.start()
+    daemon.start(gate=marker)
     blocker = generate(102).source
     queued = generate(103).source
-    daemon.post(
-        "/v1/analyze",
-        {"program": blocker, "wait": False,
-         "test_fault": {"kind": "hang_if_missing", "path": str(marker), "sec": 45}},
-    )
+    daemon.post("/v1/analyze", {"program": blocker, "wait": False})
     code, body = daemon.post("/v1/analyze", {"program": queued, "wait": False})
     assert code == 202
     queued_id = body["job"]

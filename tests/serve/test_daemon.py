@@ -5,11 +5,12 @@ in-process (inline-isolation) service, no sockets."""
 from __future__ import annotations
 
 import json
-import time
 
 import pytest
 
 from repro.corpus.generator import generate
+from repro.faults import plane
+from repro.faults.plane import FaultSchedule, PlannedFault
 from repro.obs import recorder as obs
 from repro.serve.daemon import (
     AnalysisService,
@@ -29,8 +30,7 @@ def _service(tmp_path, **overrides) -> AnalysisService:
     config = ServiceConfig(
         state_dir=tmp_path / "state",
         workers=overrides.pop("workers", 1),
-        isolation="inline",
-        allow_test_faults=True,
+        isolation=overrides.pop("isolation", "inline"),
         retry=overrides.pop("retry", RetryPolicy(max_retries=1, backoff_base_sec=0.01,
                                                  backoff_cap_sec=0.02)),
         **overrides,
@@ -80,17 +80,17 @@ class TestSubmit:
         assert "parse error" in message
         assert _counters().get("serve.accepted", 0) == 0
 
-    def test_identical_inflight_submissions_coalesce(self, tmp_path):
+    def test_identical_inflight_submissions_coalesce(self, tmp_path, gate):
         service = _service(tmp_path, queue_size=8)
         try:
             source = _program(12)
-            slow = AnalyzeRequest(program=source, test_fault={"kind": "sleep", "sec": 0.3})
-            status, first = service.submit(slow)
+            status, first = service.submit(AnalyzeRequest(program=source))
             assert status == "accepted"
             status, second = service.submit(AnalyzeRequest(program=source))
             assert status == "accepted"
             assert second is first  # attached to the in-flight job
             assert _counters().get("serve.coalesced", 0) == 1
+            gate.open()
             assert first.wait(30)
         finally:
             service.stop()
@@ -133,15 +133,12 @@ class TestQoS:
 
 
 class TestShedding:
-    def test_queue_full_sheds_with_retry_after(self, tmp_path):
+    def test_queue_full_sheds_with_retry_after(self, tmp_path, gate):
         service = _service(tmp_path, queue_size=1, workers=1)
         try:
-            blocker = AnalyzeRequest(
-                program=_program(14), test_fault={"kind": "sleep", "sec": 0.5}
-            )
-            status, _job = service.submit(blocker)
+            status, _job = service.submit(AnalyzeRequest(program=_program(14)))
             assert status == "accepted"
-            time.sleep(0.1)  # let the worker pick it up and block
+            assert gate.entered.wait(10)  # the worker holds the blocker
             # distinct programs so neither coalesces with the blocker
             fills, sheds = 0, 0
             for seed in range(20, 26):
@@ -155,23 +152,22 @@ class TestShedding:
             assert sheds >= 1
             assert _counters().get("serve.shed.queue_full", 0) == sheds
         finally:
+            gate.open()
             service.stop()
 
-    def test_shed_jobs_are_not_resurrected_by_recovery(self, tmp_path):
+    def test_shed_jobs_are_not_resurrected_by_recovery(self, tmp_path, gate):
         service = _service(tmp_path, queue_size=1, workers=1)
         state_dir = service.state_dir
         try:
-            blocker = AnalyzeRequest(
-                program=_program(14), test_fault={"kind": "sleep", "sec": 0.5}
-            )
-            service.submit(blocker)
-            time.sleep(0.1)
+            service.submit(AnalyzeRequest(program=_program(14)))
+            assert gate.entered.wait(10)
             shed_any = False
             for seed in range(30, 36):
                 status, _ = service.submit(AnalyzeRequest(program=_program(seed)))
                 shed_any = shed_any or status == "shed"
             assert shed_any
         finally:
+            gate.open()
             service.drain(10)
         pending, _done = JobJournal(state_dir / "journal.jsonl").fold()
         assert pending == {}  # every journaled job is accounted for
@@ -203,12 +199,12 @@ class TestDegradedModes:
         service = _service(
             tmp_path, retry=RetryPolicy(max_retries=0, backoff_base_sec=0.01)
         )
+        kill = FaultSchedule([PlannedFault("daemon.worker.kill")])
         try:
-            status, job = service.submit(
-                AnalyzeRequest(program=_program(16), test_fault={"kind": "crash"})
-            )
-            assert status == "accepted"
-            assert job.wait(30)
+            with plane.engaged(kill):
+                status, job = service.submit(AnalyzeRequest(program=_program(16)))
+                assert status == "accepted"
+                assert job.wait(30)
             assert "retries-exhausted" in job.result["degraded"]
             assert any(
                 line.startswith("RETRY_EXHAUSTED")
@@ -219,15 +215,20 @@ class TestDegradedModes:
         finally:
             service.stop()
 
-    def test_faults_require_opt_in(self, tmp_path):
-        service = _service(tmp_path)
-        service.config.allow_test_faults = False
+    def test_process_attempts_drop_the_inherited_fault_plane(self, tmp_path):
+        # every client callback raises, but only in this process: a forked
+        # attempt child must not inherit the live plane
+        service = _service(tmp_path, isolation="process")
+        every_callback = FaultSchedule(
+            [PlannedFault("client.callback.raise", count=10**9)]
+        )
         try:
-            status, job = service.submit(
-                AnalyzeRequest(program=_program(17), test_fault={"kind": "crash"})
-            )
-            assert status == "accepted" and job.wait(30)
-            assert "degraded" not in job.result  # the fault was stripped
+            with plane.engaged(every_callback) as live:
+                status, job = service.submit(AnalyzeRequest(program=_program(17)))
+                assert status == "accepted" and job.wait(60)
+                assert live.coverage()["client.callback.raise"]["hits"] == 0
+            assert job.result["confidence"] in ("exact", "partial")
+            assert "CLIENT_FAULT" not in json.dumps(job.result)
         finally:
             service.stop()
 

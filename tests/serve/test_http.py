@@ -25,7 +25,6 @@ def server(tmp_path):
         state_dir=tmp_path / "state",
         workers=1,
         isolation="inline",
-        allow_test_faults=True,
         queue_size=8,
         retry=RetryPolicy(max_retries=0, backoff_base_sec=0.01),
     )
@@ -112,6 +111,47 @@ def test_malformed_request_bodies_are_400(server):
     assert excinfo.value.code == 400
 
 
+#: budget fields a client can get wrong; each must be a structured 400
+BAD_BUDGETS = [
+    {"deadline_sec": "abc"},
+    {"deadline_sec": float("nan")},
+    {"deadline_sec": float("inf")},
+    {"deadline_sec": -1.0},
+    {"max_steps": [1]},
+    {"max_steps": -5},
+    {"max_steps": 2.5},
+    {"max_steps": True},
+    {"max_state_bytes": {"a": 1}},
+    {"max_state_bytes": "1024"},
+]
+
+
+@pytest.mark.parametrize("budget", BAD_BUDGETS, ids=lambda b: repr(b))
+def test_malformed_budget_fields_are_400(server, budget):
+    base, service = server
+    source = generate(35).source
+    code, body, _ = _post(base, "/v1/analyze", {"program": source, **budget})
+    assert code == 400
+    assert next(iter(budget)) in body["error"]
+    code, body, _ = _post(base, "/v1/batch", {"programs": [source], **budget})
+    assert code == 400
+    assert next(iter(budget)) in body["error"]
+    assert service.stats()["jobs"] == 0  # nothing was admitted
+
+
+def test_stale_test_fault_field_is_ignored(server):
+    """The request schema has no fault-injection field: an old client's
+    ``test_fault`` key is an unknown key like any other."""
+    base, _service = server
+    code, body, _ = _post(
+        base, "/v1/analyze",
+        {"program": generate(36).source, "test_fault": {"kind": "crash"}},
+    )
+    assert code == 200
+    assert body["result"]["confidence"] in ("exact", "partial")
+    assert "degraded" not in body["result"]
+
+
 def test_unknown_routes_are_404(server):
     base, _service = server
     assert _get(base, "/nope")[0] == 404
@@ -142,12 +182,11 @@ def test_draining_submissions_are_503(server):
     assert "Retry-After" in headers
 
 
-def test_queue_full_is_429_with_retry_after(tmp_path):
+def test_queue_full_is_429_with_retry_after(tmp_path, gate):
     config = ServiceConfig(
         state_dir=tmp_path / "state",
         workers=1,
         isolation="inline",
-        allow_test_faults=True,
         queue_size=1,
     )
     service = AnalysisService(config)
@@ -157,11 +196,8 @@ def test_queue_full_is_429_with_retry_after(tmp_path):
     thread.start()
     base = f"http://127.0.0.1:{httpd.server_address[1]}"
     try:
-        _post(base, "/v1/analyze", {
-            "program": generate(34).source,
-            "test_fault": {"kind": "sleep", "sec": 0.5},
-            "wait": False,
-        })
+        _post(base, "/v1/analyze", {"program": generate(34).source, "wait": False})
+        assert gate.entered.wait(10)  # the worker holds the blocker
         shed = 0
         for seed in range(35, 41):
             code, body, headers = _post(
@@ -174,6 +210,7 @@ def test_queue_full_is_429_with_retry_after(tmp_path):
                 assert body["error"] == "overloaded"
         assert shed >= 1
     finally:
+        gate.open()
         httpd.shutdown()
         httpd.server_close()
         service.stop()

@@ -293,13 +293,14 @@ class TestFaultsSubcommand:
         assert "1 case(s): 1 ok, 0 failed" in out
         assert "case   0 focus=ckpt.write.enospc" in out
 
-    @pytest.mark.parametrize("label", ["1337:5", "v1:1337:5"])
+    @pytest.mark.parametrize("label", ["1337:5", "v1:1337:5", "v2:1337:5"])
     def test_replay_refuses_other_catalog_versions(self, capsys, label):
-        from repro.faults.plane import CATALOG_VERSION
+        from repro.faults.plane import CATALOG_VERSION, parse_label
 
+        version = parse_label(label)[0]
         assert main(["faults", "--replay", label]) == 2
         out = capsys.readouterr().out
-        assert "catalog v1" in out
+        assert f"catalog v{version}" in out
         assert f"catalog v{CATALOG_VERSION}" in out
 
     def test_replay_rejects_garbage(self, capsys):
