@@ -6,13 +6,16 @@ table.  This driver climbs down a ladder of progressively cheaper-but-
 wider analyses until one produces an ``exact`` answer:
 
 1. ``cartesian`` — the Section VIII Cartesian/HSM client at the caller's
-   limits (the most precise client this repository has);
+   limits (the most precise client this repository has; it runs the
+   Section VII affine matching and adds HSM matching on top, so a
+   Section VII rung after it could never prove a match it missed);
 2. ``cartesian-escalated`` — same client with doubled ``widen_after``,
    ``max_psets`` and ``max_steps`` (loses less precision in loops and
-   survives deeper splits, at more cost);
-3. ``simple-symbolic`` — the Section VII affine client at the escalated
-   limits (simpler machinery; immune to faults in the HSM layer);
-4. ``mpi-cfg`` — the Section II MPI-CFG baseline.  Never gives up: every
+   survives deeper splits, at more cost).  Skipped when the previous
+   rung's only failure was the client's own ⊤ give-up
+   (``GIVEUP_NO_MATCH``): a bigger budget or a fresh run cannot make the
+   client match what it cannot express (see :func:`_escalation_futile`);
+3. ``mpi-cfg`` — the Section II MPI-CFG baseline.  Never gives up: every
    send is connected to every receive that sequential facts cannot rule
    out.  Sound by construction, over-approximate by design, so the
    synthesized result is marked ``confidence="partial"``.
@@ -126,14 +129,6 @@ def _run_cartesian(program, limits, *, checkpointer=None, resume=None):
     )
 
 
-def _run_simple_symbolic(program, limits, *, checkpointer=None, resume=None):
-    from repro.analyses.simple_symbolic import analyze_program
-
-    return analyze_program(
-        program, limits=limits, checkpointer=checkpointer, resume=resume
-    )
-
-
 def _run_mpi_cfg_baseline(program, limits):
     """The last rung: the MPI-CFG baseline, synthesized as an AnalysisResult.
 
@@ -165,13 +160,11 @@ def _run_mpi_cfg_baseline(program, limits):
 
 
 def default_ladder(limits: Optional[EngineLimits] = None) -> List[Rung]:
-    """The standard four-rung ladder (see the module docstring)."""
+    """The standard three-rung ladder (see the module docstring)."""
     base = limits or EngineLimits()
-    boosted = escalate(base)
     return [
         Rung("cartesian", _run_cartesian, base),
-        Rung("cartesian-escalated", _run_cartesian, boosted),
-        Rung("simple-symbolic", _run_simple_symbolic, boosted),
+        Rung("cartesian-escalated", _run_cartesian, escalate(base)),
         Rung("mpi-cfg", _run_mpi_cfg_baseline, base),
     ]
 
@@ -213,6 +206,20 @@ def _carryable_snapshot(result: AnalysisResult):
     return None
 
 
+def _escalation_futile(result: AnalysisResult) -> bool:
+    """True when re-running ``result``'s client cannot answer better.
+
+    Only the client's own ⊤ give-up qualifies: ``GIVEUP_NO_MATCH`` says
+    the client cannot express a match, which a bigger budget or a fresh
+    run reproduces.  A run that tripped a budget, hit the pset bound or
+    had a client fault still escalates.
+    """
+    meaningful = [d for d in result.diagnostics if d.severity != diagnostics.INFO]
+    return bool(meaningful) and all(
+        d.code == diagnostics.GIVEUP_NO_MATCH for d in meaningful
+    )
+
+
 def _pool_context():
     """fork where available (cheap, no re-import), else the platform default."""
     methods = multiprocessing.get_all_start_methods()
@@ -232,7 +239,9 @@ def analyze_with_fallback(
 
     Returns a :class:`FallbackReport`; ``report.chosen`` is the first
     ``exact`` rung, or the final (baseline) rung when none is exact.
-    Rungs after the winning one are not run.
+    Rungs after the winning one are not run, and neither is a rung that
+    re-runs the previous rung's client after that client gave up with
+    only ``GIVEUP_NO_MATCH`` (see :func:`_escalation_futile`).
 
     ``checkpointer`` (a :class:`repro.core.checkpoint.Checkpointer`) and
     ``resume`` (a snapshot or path for the *first* rung) are forwarded to
@@ -255,7 +264,16 @@ def analyze_with_fallback(
     rungs = ladder if ladder is not None else default_ladder(limits)
     report = FallbackReport()
     carry = resume
+    previous: Optional[Rung] = None
     for rung in rungs:
+        if (
+            previous is not None
+            and rung.run is previous.run
+            and _escalation_futile(report.rungs[-1].result)
+        ):
+            obs.incr(f"driver.rung.{rung.name}.skipped")
+            continue
+        previous = rung
         if progress is not None:
             try:
                 progress({"event": "rung", "rung": rung.name})

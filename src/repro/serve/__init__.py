@@ -6,8 +6,7 @@ Layering (each module testable without the ones above it):
   CFG fingerprint + ladder + effective limits, with warm-start snapshots;
 * :mod:`repro.serve.journal` — crash-safe append-only job journal
   (journal-first admission, replay-on-restart recovery);
-* :mod:`repro.serve.retry` — retry policy (backoff + jitter) and
-  per-rung circuit breaker;
+* :mod:`repro.serve.retry` — retry policy (backoff + jitter);
 * :mod:`repro.serve.daemon` — the scheduler: admission control, tenant
   QoS budgets, worker-process isolation, degraded-mode answers, drain;
 * :mod:`repro.serve.http` — the stdlib HTTP surface;
@@ -23,12 +22,11 @@ from repro.serve.daemon import (
 )
 from repro.serve.http import discover, run_server
 from repro.serve.journal import JobJournal
-from repro.serve.retry import CircuitBreaker, RetryPolicy, TransientJobError
+from repro.serve.retry import RetryPolicy, TransientJobError
 
 __all__ = [
     "AnalysisService",
     "AnalyzeRequest",
-    "CircuitBreaker",
     "JobJournal",
     "ResultCache",
     "RetryPolicy",

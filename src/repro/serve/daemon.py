@@ -25,10 +25,9 @@ Life of a job
    a crashed or hung attempt can never take the daemon down or wedge a
    worker thread.  Transient faults (worker lost, watchdog fired) are
    retried with exponential backoff + full jitter, bounded by the retry
-   policy.  Per-rung circuit breakers skip a rung that keeps failing
-   (the baseline rung is never skipped).  When the queue is above the
-   pressure threshold, new executions run only the cheap baseline rung:
-   a degraded-but-sound answer beats a timeout.
+   policy.  When the queue is above the pressure threshold, new
+   executions run only the cheap baseline rung: a degraded-but-sound
+   answer beats a timeout.
 3. **Completion**: the rendered result is journaled (``done``), stored
    in the result cache (only clean, non-degraded results), and every
    waiter — including coalesced duplicates — is released.  If retries
@@ -57,7 +56,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.core import diagnostics
 from repro.core.checkpoint import Snapshot, cfg_fingerprint
 from repro.core.driver import (
     analyze_batch,
@@ -75,11 +73,10 @@ from repro.obs import slog
 from repro.obs import trace
 from repro.serve.cache import ResultCache, compute_key, render_report
 from repro.serve.journal import JobJournal
-from repro.serve.retry import CircuitBreaker, RetryPolicy, TransientJobError
+from repro.serve.retry import RetryPolicy, TransientJobError
 
 #: ladder identifier baked into cache keys (rung names, in order)
-DEFAULT_LADDER_ID = "cartesian>cartesian-escalated>simple-symbolic>mpi-cfg"
-BASELINE_LADDER_ID = "mpi-cfg"
+DEFAULT_LADDER_ID = ">".join(rung.name for rung in default_ladder())
 
 
 # -- requests and QoS ----------------------------------------------------------
@@ -163,8 +160,6 @@ class ServiceConfig:
     #: in-process bench harness)
     isolation: str = "process"
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    breaker_threshold: int = 3
-    breaker_cooldown_sec: float = 30.0
     #: Retry-After seconds advertised on shed responses
     retry_after_sec: int = 1
     #: extra seconds on top of the ladder's worst-case deadline before
@@ -223,6 +218,11 @@ class Job:
 # -- worker-process attempt execution -----------------------------------------
 
 
+def _ladder(ladder_kind: str, limits: EngineLimits):
+    """The rungs an attempt of ``ladder_kind`` climbs."""
+    return baseline_ladder(limits) if ladder_kind == "baseline" else default_ladder(limits)
+
+
 def _attempt_child(
     conn, source, limits, ladder_kind, resume_payload, capture, crash,
     trace_ctx=None, trace_sink=None, stream=False,
@@ -259,13 +259,10 @@ def _attempt_child(
         with trace.activate(span_ctx), trace.span("serve.attempt", ladder=ladder_kind):
             with obs.recording() if capture else contextlib.nullcontext():
                 program = parse(source)
-                ladder = (
-                    baseline_ladder(limits) if ladder_kind == "baseline" else default_ladder(limits)
-                )
                 resume = Snapshot(payload=resume_payload) if resume_payload else None
                 report = analyze_with_fallback(
-                    program, limits=limits, ladder=ladder, resume=resume,
-                    progress=progress,
+                    program, limits=limits, ladder=_ladder(ladder_kind, limits),
+                    resume=resume, progress=progress,
                 )
                 rendered = render_report(report)
                 snap = getattr(report.result, "snapshot", None)
@@ -306,10 +303,6 @@ class AnalysisService:
         self.cache = ResultCache(self.state_dir / "cache", max_entries=config.cache_entries)
         self.journal = JobJournal(self.state_dir / "journal.jsonl")
         self.queue: "queue.Queue[Job]" = queue.Queue(maxsize=config.queue_size)
-        self.breaker = CircuitBreaker(
-            threshold=config.breaker_threshold,
-            cooldown_sec=config.breaker_cooldown_sec,
-        )
         self.jobs: Dict[str, Job] = {}
         #: cache key -> in-flight job, for request coalescing
         self._inflight: Dict[str, Job] = {}
@@ -636,7 +629,7 @@ class AnalysisService:
         if self.config.job_timeout_sec is not None:
             return self.config.job_timeout_sec
         per_rung = limits.deadline_sec or 30.0
-        rungs = 1 if ladder_kind == "baseline" else 4
+        rungs = len(_ladder(ladder_kind, limits))
         return per_rung * rungs + self.config.timeout_grace_sec
 
     def _run_job(self, job: Job) -> None:
@@ -699,7 +692,6 @@ class AnalysisService:
         if progress is not None:
             for diagnostic in rendered.get("diagnostics", []) or []:
                 progress({"event": "diagnostic", "diagnostic": str(diagnostic)})
-        self._record_breaker(rendered)
         clean = not degraded
         if clean:
             self.cache.store(
@@ -797,10 +789,9 @@ class AnalysisService:
         if crash:
             raise TransientJobError("injected crash")
         program = parse(request.program)
-        ladder = baseline_ladder(limits) if ladder_kind == "baseline" else default_ladder(limits)
         with trace.span("serve.attempt", ladder=ladder_kind), obs.job_recording() as recorder:
             report = analyze_with_fallback(
-                program, limits=limits, ladder=ladder, resume=warm,
+                program, limits=limits, ladder=_ladder(ladder_kind, limits), resume=warm,
                 progress=progress,
             )
             rendered = render_report(report)
@@ -868,22 +859,6 @@ class AnalysisService:
 
     # -- completion ------------------------------------------------------------
 
-    def _record_breaker(self, rendered: dict) -> None:
-        """Feed per-rung outcomes to the circuit breaker: a rung that
-        gave up or threw client faults counts as a failure."""
-        for rung in rendered.get("rungs", []):
-            name = rung.get("name", "")
-            if not name or name == "mpi-cfg":
-                continue
-            failed = (
-                rung.get("confidence") == diagnostics.GAVE_UP
-                or diagnostics.CLIENT_FAULT in str(rung.get("diagnostics", ""))
-            )
-            if failed:
-                self.breaker.record_failure(name)
-            else:
-                self.breaker.record_success(name)
-
     def _complete_degraded(self, job: Job, reason: str) -> None:
         """Terminal fallback: answer with the inline baseline (total,
         cheap, cannot fail) plus a service diagnostic.  Every accepted
@@ -918,12 +893,12 @@ class AnalysisService:
         with self._lock:
             if job.key and self._inflight.get(job.key) is job:
                 del self._inflight[job.key]
-        tenant = None
-        if job.request is not None:
-            tenant = job.request.tenant
-        elif job.batch:
-            tenant = job.batch[0].tenant
-        if tenant:
+        request = job.request or (job.batch[0] if job.batch else None)
+        if request is not None:
+            # label by the operator-configured budget, never the raw
+            # client string: one series per configured tenant, and a
+            # name the exposition can always carry
+            tenant = self.config.budget_for(request.tenant).name
             obs.observe(
                 f"serve.tenant.latency_ms.{tenant}",
                 (time.time() - job.created) * 1000.0,
@@ -945,7 +920,6 @@ class AnalysisService:
             "jobs": len(self.jobs),
             "workers": len(self._threads),
             "cache": self.cache.stats(),
-            "breaker": self.breaker.snapshot(),
             "counters": {
                 name: value for name, value in sorted(counters.items())
                 if name.startswith(("serve.", "driver.", "engine."))

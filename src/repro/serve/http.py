@@ -20,8 +20,7 @@ onto it and service verdicts onto status codes:
 ``GET /healthz``      liveness: 200 as long as the process serves.
 ``GET /readyz``       readiness: 503 once draining (load
                       balancers stop routing before shutdown).
-``GET /stats``        queue depth, cache and breaker state, obs
-                      counters.
+``GET /stats``        queue depth, cache state, obs counters.
 ====================  ===========================================
 
 The server is a ``ThreadingHTTPServer``: admission is cheap (parse +

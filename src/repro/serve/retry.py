@@ -1,35 +1,21 @@
-"""Retry policy and per-rung circuit breaker for the analysis service.
+"""Retry policy for the analysis service.
 
-Two distinct failure domains get two distinct mechanisms:
+Attempt-level faults — a worker process dying, a hung worker hit by its
+watchdog timeout — are *transient*: the job is retried with exponential
+backoff plus full jitter (``RetryPolicy``), bounded by ``max_retries``.
+Jitter matters even in a single daemon: a burst of jobs that all hit the
+same sick worker pool must not retry in lockstep.
 
-* **Attempt-level faults** — a worker process dying, a hung worker hit
-  by its watchdog timeout — are *transient*: the job is retried with
-  exponential backoff plus full jitter (``RetryPolicy``), bounded by
-  ``max_retries``.  Jitter matters even in a single daemon: a burst of
-  jobs that all hit the same sick worker pool must not retry in
-  lockstep.
-* **Rung-level faults** — a precision rung of the fallback ladder
-  repeatedly giving up or throwing client faults — are *systemic*: a
-  per-rung ``CircuitBreaker`` opens after ``threshold`` consecutive
-  failures and the scheduler skips that rung (the ladder's cheaper
-  rungs still answer), half-opens after ``cooldown_sec`` to probe once,
-  and closes again on a probe success.  The final baseline rung is
-  never breaker-filtered — the service always has a total answer.
+Rung-level failures (a precision rung giving up or hitting a client
+fault) are not retried here: the fallback ladder already answers them
+with its next rung, and the final baseline rung is total.
 """
 
 from __future__ import annotations
 
 import random
-import threading
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
-
-from repro.obs import recorder as obs
-
-CLOSED = "closed"
-OPEN = "open"
-HALF_OPEN = "half_open"
+from typing import Optional
 
 
 class TransientJobError(RuntimeError):
@@ -52,82 +38,3 @@ class RetryPolicy:
         ceiling = min(self.backoff_cap_sec, self.backoff_base_sec * (2 ** attempt))
         draw = (rng or random).random()
         return ceiling * draw
-
-
-class _Circuit:
-    __slots__ = ("state", "failures", "opened_at")
-
-    def __init__(self) -> None:
-        self.state = CLOSED
-        self.failures = 0
-        self.opened_at = 0.0
-
-
-class CircuitBreaker:
-    """Per-name (per-rung) three-state circuit breaker.  Thread-safe."""
-
-    def __init__(
-        self,
-        threshold: int = 3,
-        cooldown_sec: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.threshold = max(1, int(threshold))
-        self.cooldown_sec = float(cooldown_sec)
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._circuits: Dict[str, _Circuit] = {}
-
-    def _get(self, name: str) -> _Circuit:
-        circuit = self._circuits.get(name)
-        if circuit is None:
-            circuit = self._circuits[name] = _Circuit()
-        return circuit
-
-    def allows(self, name: str) -> bool:
-        """Whether ``name`` may run now.
-
-        An open circuit whose cooldown has elapsed transitions to
-        half-open and admits exactly one probe; while the probe is in
-        flight further calls are refused.
-        """
-        with self._lock:
-            circuit = self._get(name)
-            if circuit.state == CLOSED:
-                return True
-            if circuit.state == OPEN:
-                if self._clock() - circuit.opened_at >= self.cooldown_sec:
-                    circuit.state = HALF_OPEN
-                    obs.incr("serve.breaker.probes")
-                    return True
-                return False
-            # HALF_OPEN: one probe is already out
-            return False
-
-    def record_success(self, name: str) -> None:
-        with self._lock:
-            circuit = self._get(name)
-            if circuit.state == HALF_OPEN:
-                obs.incr("serve.breaker.closed")
-            circuit.state = CLOSED
-            circuit.failures = 0
-
-    def record_failure(self, name: str) -> None:
-        with self._lock:
-            circuit = self._get(name)
-            circuit.failures += 1
-            if circuit.state == HALF_OPEN or circuit.failures >= self.threshold:
-                if circuit.state != OPEN:
-                    obs.incr("serve.breaker.opened")
-                circuit.state = OPEN
-                circuit.opened_at = self._clock()
-                circuit.failures = 0
-
-    def state(self, name: str) -> str:
-        with self._lock:
-            return self._get(name).state
-
-    def snapshot(self) -> Dict[str, str]:
-        """Rung name -> state, for ``/stats``."""
-        with self._lock:
-            return {name: c.state for name, c in self._circuits.items()}

@@ -2,23 +2,32 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
+import pytest
+
+from repro.analyses.cartesian import analyze_cartesian
 from repro.core import diagnostics
 from repro.core.driver import (
+    _escalation_futile,
     analyze_batch,
     analyze_with_fallback,
     default_ladder,
     escalate,
 )
 from repro.core.engine import EngineLimits
+from repro.corpus.sweep import smoke_programs
 from repro.faults import plane
 from repro.faults.plane import FaultSchedule, PlannedFault
-from repro.lang import programs
+from repro.lang import parse, programs
 from repro.lang.cfg import build_cfg
 from repro.obs import recorder as obs
 from repro.runtime import run_program
 
 #: programs the batch fan-out tests push through a process pool
 BATCH_CORPUS = ["pingpong", "shift_right", "master_worker", "mdcask_full"]
+
+MANIFEST = Path(__file__).resolve().parents[2] / "corpus" / "manifest_smoke.json"
 
 
 def test_first_rung_exact_wins_and_stops():
@@ -44,13 +53,33 @@ def test_escalated_limits_rescue_a_budget_starved_run():
     assert report.result.confidence == diagnostics.EXACT
 
 
-def test_unanalyzable_program_falls_to_the_baseline():
-    report = analyze_with_fallback(programs.get("ring_modular"))
-    assert report.rung_name == "mpi-cfg"
+@pytest.mark.parametrize(
+    "name", ["exchange_with_root", "pingpong", "shift_right", "master_worker"]
+)
+def test_escalated_rung_rescues_a_client_fault(name):
+    # one client callback raises in rung 1; the escalated rung is a fresh
+    # run of the same client and answers exactly
+    one_shot = FaultSchedule([PlannedFault("client.callback.raise", hit=5)])
+    with plane.engaged(one_shot) as live:
+        report = analyze_with_fallback(programs.get(name))
+    assert live.coverage()["client.callback.raise"]["fired"] == 1
     assert [outcome.name for outcome in report.rungs] == [
         "cartesian",
         "cartesian-escalated",
-        "simple-symbolic",
+    ]
+    first = report.rungs[0].result
+    assert first.confidence == diagnostics.PARTIAL
+    assert diagnostics.CLIENT_FAULT in {d.code for d in first.diagnostics}
+    assert report.result.confidence == diagnostics.EXACT
+
+
+def test_unanalyzable_program_falls_to_the_baseline():
+    report = analyze_with_fallback(programs.get("ring_modular"))
+    assert report.rung_name == "mpi-cfg"
+    # rung 1 only gave up matching (GIVEUP_NO_MATCH): the escalated rung
+    # is skipped and the baseline answers
+    assert [outcome.name for outcome in report.rungs] == [
+        "cartesian",
         "mpi-cfg",
     ]
     # the baseline always answers, marked partial (over-approximate)
@@ -92,11 +121,28 @@ def test_default_ladder_shape():
     assert [rung.name for rung in rungs] == [
         "cartesian",
         "cartesian-escalated",
-        "simple-symbolic",
         "mpi-cfg",
     ]
     assert rungs[1].limits.max_psets == 8
-    assert rungs[2].limits.max_psets == 8
+    assert rungs[2].limits.max_psets == 4
+
+
+def test_escalation_cannot_rescue_a_no_match_give_up():
+    # the evidence behind skipping the escalated rung: wherever rung 1's
+    # only failure is GIVEUP_NO_MATCH, the escalated limits do not make
+    # the same client exact either
+    sources = [spec.parse() for spec in programs.all_specs()]
+    sources += [parse(generated.source) for generated in smoke_programs(MANIFEST)]
+    base = EngineLimits()
+    futile = 0
+    for program in sources:
+        result, _cfg, _client = analyze_cartesian(program, limits=base)
+        if not _escalation_futile(result):
+            continue
+        futile += 1
+        escalated, _cfg, _client = analyze_cartesian(program, limits=escalate(base))
+        assert escalated.confidence != diagnostics.EXACT
+    assert futile >= 15  # the check is not vacuous
 
 
 def test_report_describe_names_the_answering_rung():

@@ -1,5 +1,5 @@
 """Untrusted-input hardening: oversized/hostile requests get structured
-4xx answers and never enter the worker retry / circuit-breaker path."""
+4xx answers and never enter the worker-failure / retry path."""
 
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ def server(tmp_path):
         isolation="inline",
         queue_size=8,
         retry=RetryPolicy(max_retries=0, backoff_base_sec=0.01),
-        breaker_threshold=1,  # the touchiest possible breaker
     )
     service = AnalysisService(config)
     service.start()
@@ -55,10 +54,10 @@ def _post_raw(base: str, body: bytes):
         return exc.code, json.loads(exc.read() or b"{}")
 
 
-def _assert_no_breaker_trip(service: AnalysisService) -> None:
-    snapshot = service.breaker.snapshot()
-    open_rungs = [name for name, state in snapshot.items() if state == "open"]
-    assert open_rungs == [], f"client faults tripped breaker(s): {open_rungs}"
+def _assert_no_retry_path(service: AnalysisService) -> None:
+    counters = service.stats()["counters"]
+    assert counters.get("serve.attempt_failures", 0) == 0
+    assert counters.get("serve.retries", 0) == 0
 
 
 # -- parser ceilings ----------------------------------------------------------
@@ -118,7 +117,7 @@ def test_10mb_body_gets_structured_413(server):
     code, document = _post_raw(base, body.encode())
     assert code == 413
     assert isinstance(document.get("error"), str)
-    _assert_no_breaker_trip(service)
+    _assert_no_retry_path(service)
 
 
 def test_10k_deep_program_gets_structured_400(server):
@@ -127,7 +126,7 @@ def test_10k_deep_program_gets_structured_400(server):
     code, document = _post_raw(base, json.dumps({"program": deep}).encode())
     assert code == 400
     assert "nesting" in document["error"]
-    _assert_no_breaker_trip(service)
+    _assert_no_retry_path(service)
 
 
 def test_lexer_garbage_gets_structured_400(server):
@@ -135,7 +134,7 @@ def test_lexer_garbage_gets_structured_400(server):
     code, document = _post_raw(base, json.dumps({"program": "x = @!?"}).encode())
     assert code == 400
     assert isinstance(document.get("error"), str)
-    _assert_no_breaker_trip(service)
+    _assert_no_retry_path(service)
 
 
 def test_oversized_program_gets_structured_400(server):
@@ -144,7 +143,7 @@ def test_oversized_program_gets_structured_400(server):
     code, document = _post_raw(base, json.dumps({"program": program}).encode())
     assert code == 400
     assert "too large" in document["error"]
-    _assert_no_breaker_trip(service)
+    _assert_no_retry_path(service)
 
 
 def test_malformed_json_gets_structured_400(server):
@@ -152,7 +151,7 @@ def test_malformed_json_gets_structured_400(server):
     code, document = _post_raw(base, b'{"program": "x = 1"')
     assert code == 400
     assert isinstance(document.get("error"), str)
-    _assert_no_breaker_trip(service)
+    _assert_no_retry_path(service)
 
 
 def test_wait_budget_is_clamped(server):
@@ -173,7 +172,4 @@ def test_hostile_inputs_do_not_reach_retry_path(server):
     for payload in (b'[]', b'{"program": 7}', json.dumps({"program": "x = @"}).encode()):
         code, _ = _post_raw(base, payload)
         assert 400 <= code < 500
-    stats = service.stats()
-    assert stats["counters"].get("serve.retries", 0) == 0
-    assert stats["counters"].get("serve.attempt_failures", 0) == 0
-    _assert_no_breaker_trip(service)
+    _assert_no_retry_path(service)

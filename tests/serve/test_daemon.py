@@ -337,5 +337,5 @@ class TestDrain:
     def test_stats_document_shape(self, service):
         service.submit(AnalyzeRequest(program=_program(45)))
         stats = service.stats()
-        assert {"queue_depth", "jobs", "cache", "breaker", "counters"} <= set(stats)
+        assert {"queue_depth", "jobs", "cache", "counters"} <= set(stats)
         json.dumps(stats)  # must be JSON-serializable for /stats

@@ -6,6 +6,7 @@ stitching.  These are the integration counterparts of the unit tests in
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 import urllib.request
@@ -96,6 +97,26 @@ class TestMetricsEndpoint:
         assert any(
             key.startswith("repro_serve_tenant_latency_ms") for key in samples
         )
+
+    def test_client_tenant_strings_never_become_labels(self, inline_server):
+        """The tenant label names the configured budget a request maps to
+        (``default`` here), not the raw client string: a hostile string
+        or a JSON object keeps /metrics parseable and adds no series."""
+        base, _service = inline_server
+        for seed, tenant in ((63, 'x y"z\n{}'), (64, {"team": ["a", "b"]})):
+            code, _body = _post(
+                base, {"program": generate(seed).source, "tenant": tenant, "wait": True}
+            )
+            assert code == 200
+        text, _content_type = _scrape(base)
+        assert metrics.validate_exposition(text) == []
+        labels = {
+            match.group(1)
+            for match in re.finditer(r'^repro_serve_tenant_latency_ms\S*tenant="([^"]*)"',
+                                     text, re.MULTILINE)
+        }
+        assert labels == {"default"}
+        assert text.count("repro_serve_tenant_latency_ms_count") == 1
 
     def test_worker_process_counters_survive_to_scrape(self, process_server):
         """Regression: engine counters from a process-isolated attempt
