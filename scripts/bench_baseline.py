@@ -66,8 +66,8 @@ latency percentiles.  See :func:`measure_serve`.
 With ``--telemetry-pre-tree WORKTREE`` (a checkout of the commit before
 the telemetry plane landed), ``--out`` documents additionally record
 ``"telemetry_overhead"``: the same paired-subprocess tree comparison
-applied to the disabled telemetry guards (per-step progress-hook checks,
-thread-local trace-context lookups), gated at <= 2% on the Section IX
+applied to the disabled telemetry guards (the telemetry-context reads of
+every span, counter and event call), gated at <= 2% on the Section IX
 profile workload.  See :func:`measure_telemetry_overhead`.
 """
 
@@ -486,9 +486,9 @@ def measure_disabled_vs_tree(pre_tree: Path) -> dict:
     return {"pre_tree": str(pre_tree), "workloads": workloads}
 
 
-#: disabled-telemetry cost target on the gated workload: the progress-hook
-#: and trace-context guards the engine hot path now carries must stay
-#: invisible when no subscriber or sink is installed
+#: disabled-telemetry cost target on the gated workload: the telemetry-
+#: context guards the engine hot path carries must stay invisible when no
+#: subscriber or sink is installed
 TELEMETRY_OFF_TARGET = 0.02
 #: the workload the telemetry gate is enforced on (the Section IX profile
 #: drives the deepest engine loop, where a hot-path guard would show first)
@@ -500,9 +500,9 @@ def measure_telemetry_overhead(pre_tree: Path) -> dict:
 
     Same paired-subprocess design as :func:`measure_disabled_vs_tree` —
     the telemetry plane's disabled mode is the in-process baseline, so
-    only a tree comparison can see the guards themselves (the per-step
-    progress-hook check in the engine worklist loop and the thread-local
-    trace-context lookups around rungs and attempts).  Each window runs
+    only a tree comparison can see the guards themselves (the per-thread
+    telemetry-context reads behind every span, counter and event call and
+    the engine's once-per-run progress-hook check).  Each window runs
     the workload in two fresh subprocesses back to back, one importing
     ``repro`` from ``pre_tree`` (a checkout of the commit before the
     telemetry plane landed), one from this repository, in alternating
@@ -819,7 +819,7 @@ def main(argv=None) -> int:
         default=None,
         help="source tree of the commit before the telemetry plane (e.g. a "
              "git worktree): paired-subprocess measurement of the disabled "
-             "progress-hook/trace-context overhead, gated on the Section IX "
+             "telemetry-context overhead, gated on the Section IX "
              "workload (with --out)",
     )
     parser.add_argument(

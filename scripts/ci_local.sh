@@ -118,7 +118,7 @@ step "sweep-smoke: differential corpus sweep" bash -c '
       --report sweep-smoke.jsonl &&
   rm -f sweep-smoke.jsonl'
 step "serve-smoke: daemon serves, caches, and drains" bash -c '
-  rm -rf .ci-serve &&
+  rm -rf .ci-serve
   python -m repro serve --state-dir .ci-serve --port 0 --workers 2 &
   daemon=$!
   for _ in $(seq 1 100); do [ -f .ci-serve/daemon.json ] && break; sleep 0.2; done
@@ -133,7 +133,7 @@ step "serve-smoke: daemon serves, caches, and drains" bash -c '
 step "serve-smoke: SIGKILL kill-and-restart recovery suite" \
   python -m pytest tests/serve/test_crash.py -q
 step "telemetry-smoke: stream + /metrics scrape + stitched trace" bash -c '
-  rm -rf .ci-serve &&
+  rm -rf .ci-serve
   python -m repro serve --state-dir .ci-serve --port 0 --workers 2 &
   daemon=$!
   for _ in $(seq 1 100); do [ -f .ci-serve/daemon.json ] && break; sleep 0.2; done

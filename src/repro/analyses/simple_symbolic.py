@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro import obs
 from repro.cgraph.constraint_graph import ConstraintGraph, edge_diff
 from repro.cgraph.namespaces import GLOBALS, qualify
 from repro.cgraph.stats import ClosureStats
@@ -61,7 +62,6 @@ from repro.lang.ast import (
 )
 from repro.lang.cfg import CFGNode, NodeKind
 from repro.obs import provenance
-from repro.obs import recorder as obs
 from repro.procset.interval import Bound, ProcSet, SymRange
 
 _NS_PATTERN = re.compile(r"ps\d+::")

@@ -31,9 +31,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
+from repro import obs as _obs
 from repro.cgraph.stats import ClosureStats, global_stats, timed
 from repro.expr.linear import LinearExpr
-from repro.obs import recorder as _obs
 
 #: distinguished node representing the constant 0
 ZERO = "__0__"

@@ -34,14 +34,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
+from repro import obs
 from repro.core import diagnostics
-from repro.core import progress as progress_hooks
 from repro.core.engine import AnalysisResult, EngineLimits
 from repro.core.topology import MatchRecord, StaticTopology
 from repro.faults import plane as faults
-from repro.obs import recorder as obs
-from repro.obs import slog
-from repro.obs import trace
 
 RungRunner = Callable[[object, EngineLimits], Tuple[AnalysisResult, object, object]]
 
@@ -252,18 +249,23 @@ def analyze_with_fallback(
     class differs from the snapshot's is detected by the engine and falls
     back to a cold start.
 
-    ``progress`` (a callable of one event dict) receives a ``rung``
-    event as each rung starts, plus the engine heartbeats emitted below
-    it (installed ambiently via :mod:`repro.core.progress`, so rung
-    runners need no signature change).
+    ``progress`` (a callable of one event dict) is bound as the
+    telemetry context's progress hook for the climb (None keeps the
+    thread's current hook): it receives a ``rung`` event as each rung
+    starts, plus the engine heartbeats emitted below it, so rung runners
+    need no signature change.
     """
     if hasattr(program_or_spec, "parse"):
         program = program_or_spec.parse()
     else:
         program = program_or_spec
     rungs = ladder if ladder is not None else default_ladder(limits)
+    with obs.bind(progress=progress):
+        return _climb(program, rungs, checkpointer, resume)
+
+
+def _climb(program, rungs: List[Rung], checkpointer, carry) -> FallbackReport:
     report = FallbackReport()
-    carry = resume
     previous: Optional[Rung] = None
     for rung in rungs:
         if (
@@ -271,18 +273,12 @@ def analyze_with_fallback(
             and rung.run is previous.run
             and _escalation_futile(report.rungs[-1].result)
         ):
-            obs.incr(f"driver.rung.{rung.name}.skipped")
+            obs.emit("rung_skipped", name=rung.name)
             continue
         previous = rung
-        if progress is not None:
-            try:
-                progress({"event": "rung", "rung": rung.name})
-            except Exception:  # a throwing subscriber must not abort the climb
-                progress = None
+        obs.emit("rung_start", rung=rung.name)
         wants_ckpt = (checkpointer is not None or carry is not None)
-        with obs.span(f"driver.rung.{rung.name}"), trace.span(
-            f"driver.rung.{rung.name}"
-        ), progress_hooks.installed(progress):
+        with obs.span(f"driver.rung.{rung.name}"):
             if wants_ckpt and _supports_checkpointing(rung.run):
                 result, cfg, client = rung.run(
                     program, rung.limits, checkpointer=checkpointer, resume=carry
@@ -291,11 +287,10 @@ def analyze_with_fallback(
                 result, cfg, client = rung.run(program, rung.limits)
         outcome = RungOutcome(rung.name, result, cfg, client)
         report.rungs.append(outcome)
-        obs.incr(f"driver.rung.{rung.name}.{result.confidence}")
         if outcome.resumed_from:
             obs.incr("driver.rung.warm_start")
-        slog.info(
-            "driver.rung",
+        obs.emit(
+            "rung_end",
             name=rung.name,
             confidence=result.confidence,
             matches=len(result.matches),
@@ -304,31 +299,26 @@ def analyze_with_fallback(
         )
         if result.confidence == diagnostics.EXACT:
             report.chosen = outcome
-            slog.info(
-                "driver.chosen", name=outcome.name, confidence=diagnostics.EXACT
-            )
+            obs.emit("chosen", name=outcome.name, confidence=diagnostics.EXACT)
             return report
         carry = _carryable_snapshot(result)
     # nothing exact: the last rung (the baseline, for the default ladder)
     # is the answer of record
     report.chosen = report.rungs[-1]
-    slog.info(
-        "driver.chosen",
-        name=report.chosen.name,
-        confidence=report.chosen.confidence,
+    obs.emit(
+        "chosen", name=report.chosen.name, confidence=report.chosen.confidence
     )
     return report
 
 
 def _batch_worker(task: tuple) -> tuple:
-    """Analyze one batch item in a worker process."""
+    """Analyze one batch item in a worker process under the parent's
+    wired telemetry; the counters travel home with the report."""
     faults.uninstall()  # inherited over fork; see FaultPlane
-    item, limits, ladder, capture = task
-    if capture:
-        with obs.recording() as recorder:
-            report = analyze_with_fallback(item, limits=limits, ladder=ladder)
-        return report, dict(recorder.counters)
-    return analyze_with_fallback(item, limits=limits, ladder=ladder), None
+    item, limits, ladder, telemetry = task
+    with obs.adopt(telemetry) as recorder:
+        report = analyze_with_fallback(item, limits=limits, ladder=ladder)
+    return report, (dict(recorder.counters) if recorder is not None else None)
 
 
 def analyze_batch(
@@ -365,28 +355,26 @@ def analyze_batch(
     try:
         pickle.dumps((items, limits, ladder), protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
-        obs.incr("driver.batch.parallel_fallbacks")
-        slog.info("driver.batch_fallback", reason=str(exc))
+        obs.emit("batch_fallback", reason=str(exc))
         for item in items:
             with obs.span("driver.batch.program"):
                 report = analyze_with_fallback(item, limits=limits, ladder=ladder)
             obs.incr(f"driver.batch.{report.result.confidence}")
             yield item, report
         return
-    capture = obs.enabled()
+    telemetry = obs.wire()
     with ProcessPoolExecutor(
         max_workers=jobs, mp_context=_pool_context()
     ) as pool:
         futures = [
-            pool.submit(_batch_worker, (item, limits, ladder, capture))
+            pool.submit(_batch_worker, (item, limits, ladder, telemetry))
             for item in items
         ]
         for item, future in zip(items, futures):
             try:
                 report, counters = future.result()
             except Exception as exc:
-                obs.incr("driver.batch.worker_lost")
-                slog.warning("driver.batch_worker_lost", error=str(exc))
+                obs.emit("batch_worker_lost", error=str(exc))
                 with obs.span("driver.batch.program"):
                     report = analyze_with_fallback(
                         item, limits=limits, ladder=ladder

@@ -78,9 +78,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro import obs
 from repro.core import checkpoint as checkpoint_mod
 from repro.core import diagnostics
-from repro.core import progress as progress_hooks
 from repro.core.client import ClientAnalysis, ClientState
 from repro.core.diagnostics import EXACT, Diagnostic
 from repro.core.errors import ClientFault, GiveUp, MalformedCFG
@@ -88,15 +88,12 @@ from repro.core.pcfg import ExploredPCFG, PCFGNodeKey
 from repro.core.step import RECOVERABLE, StepCore
 from repro.core.topology import MatchRecord, StaticTopology
 from repro.lang.cfg import CFG
-from repro.obs import provenance, slog
-from repro.obs import recorder as obs
+from repro.obs import provenance
 
-#: recoverable-failure type -> provenance event kind / slog event name
-_FAILURE_KINDS = {
-    ClientFault: "client_fault",
-    MalformedCFG: "cfg_malformed",
-    GiveUp: "giveup",
-}
+#: engine steps between progress heartbeats — coarse enough that a
+#: 20k-step budget emits at most ~80 events (each may cross a process
+#: boundary and an HTTP chunk), fine enough to watch convergence
+HEARTBEAT_EVERY_STEPS = 256
 
 
 @dataclass
@@ -187,7 +184,6 @@ class PCFGEngine(StepCore):
         limits: Optional[EngineLimits] = None,
         intern_states: bool = True,
         checkpointer: Optional["checkpoint_mod.Checkpointer"] = None,
-        progress: Optional[progress_hooks.ProgressHook] = None,
     ):
         self.cfg = cfg
         self.client = client
@@ -195,9 +191,6 @@ class PCFGEngine(StepCore):
         self.intern_states = intern_states
         #: on-disk checkpoint sink (None: budget-trip snapshots stay in memory)
         self.checkpointer = checkpointer
-        #: live streaming heartbeat sink — explicit argument wins, else the
-        #: ambient per-thread hook installed by the driver around each rung
-        self._progress = progress if progress is not None else progress_hooks.current()
         #: per-run hash-consing table: state fingerprint -> canonical state
         self._intern: Dict[Any, ClientState] = {}
         #: live fixpoint state while a run is in flight (the atexit hook's view)
@@ -231,9 +224,11 @@ class PCFGEngine(StepCore):
         result = AnalysisResult(topology=StaticTopology())
         client = self.client
         prov = self._prov = provenance.active()
+        self._run_event = None
         if prov is not None:
-            self._run_event = prov.emit(
+            self._run_event = obs.emit(
                 "run_start",
+                parents=(),
                 detail=f"client={type(client).__name__}",
                 data={"cfg_nodes": len(self.cfg.nodes), "limits": {
                     "max_steps": limits.max_steps,
@@ -242,8 +237,6 @@ class PCFGEngine(StepCore):
                     "strict": limits.strict,
                 }},
             )
-        else:
-            self._run_event = None
         deadline = None
         if limits.deadline_sec is not None:
             deadline = time.monotonic() + limits.deadline_sec
@@ -309,20 +302,14 @@ class PCFGEngine(StepCore):
                 states[key] = self._interned(states[key])
             pending.update(key for _, _, key in worklist)
             result.resumed_from = source
-            obs.incr("engine.ckpt.resumes")
-            if prov is not None:
+            if prov is not None and restored_run.provenance:
                 # splice the interrupted run's journal in front of ours so
-                # the resumed causal history is seamless, then record the
-                # stitch point
-                if restored_run.provenance:
-                    prov.preload(restored_run.provenance)
-                self._run_event = prov.emit(
-                    "checkpoint_resume",
-                    parents=(prov.last_event_id,),
-                    detail=source,
-                    step=result.steps,
-                )
-            slog.info("engine.resume", source=source, steps=result.steps)
+                # the resumed causal history is seamless; the resume event
+                # below records the stitch point
+                prov.preload(restored_run.provenance)
+            self._run_event = obs.emit(
+                "checkpoint_resume", detail=source, step=result.steps
+            )
         else:
             try:
                 initial = self._call("initial", client.initial)
@@ -354,24 +341,19 @@ class PCFGEngine(StepCore):
 
         aborted = False
         tripped = False
+        heartbeat = obs.context.progress is not None
         try:
             while worklist:
                 result.steps += 1
                 obs.incr("engine.steps")
                 obs.observe("engine.worklist.length", len(worklist))
-                if self._progress is not None and (
-                    result.steps == 1
-                    or result.steps % progress_hooks.HEARTBEAT_EVERY_STEPS == 0
+                if heartbeat and (
+                    result.steps == 1 or result.steps % HEARTBEAT_EVERY_STEPS == 0
                 ):
-                    try:
-                        self._progress({
-                            "event": "progress",
-                            "phase": "engine",
-                            "steps": result.steps,
-                            "worklist": len(worklist),
-                        })
-                    except Exception:
-                        self._progress = None
+                    obs.emit(
+                        "heartbeat", phase="engine", steps=result.steps,
+                        worklist=len(worklist),
+                    )
                 if result.steps > limits.max_steps:
                     self._record_budget(
                         result,
@@ -493,14 +475,9 @@ class PCFGEngine(StepCore):
                 )
             restored_run = checkpoint_mod.restore_run(snapshot, self)
         except checkpoint_mod.SnapshotError as exc:
-            prov = self._prov
-            event_id = None
-            if prov is not None:
-                event_id = prov.emit(
-                    "checkpoint_rejected",
-                    parents=(self._run_event,),
-                    detail=f"{exc.code}: {exc}",
-                )
+            event_id = obs.emit(
+                "checkpoint_rejected", detail=f"{exc.code}: {exc}", code=exc.code
+            )
             result.diagnostics.append(
                 Diagnostic(
                     code=exc.code,
@@ -509,11 +486,6 @@ class PCFGEngine(StepCore):
                     provenance_id=event_id,
                 )
             )
-            if exc.code == diagnostics.CHECKPOINT_CORRUPT:
-                obs.incr("engine.ckpt.corrupt")
-            else:
-                obs.incr("engine.ckpt.mismatch")
-            slog.warning("engine.resume_rejected", code=exc.code, error=str(exc))
             return None
         return restored_run, source
 
@@ -550,8 +522,8 @@ class PCFGEngine(StepCore):
             path = self.checkpointer.write(snap)
             result.checkpoint_path = str(path)
         except Exception as exc:
-            obs.incr("engine.ckpt.write_errors")
             code = getattr(exc, "code", diagnostics.CHECKPOINT_IO)
+            obs.emit("checkpoint_failed", detail=str(exc), code=code)
             if not any(d.code == code for d in result.diagnostics):
                 result.diagnostics.append(
                     Diagnostic(
@@ -561,21 +533,8 @@ class PCFGEngine(StepCore):
                         severity=diagnostics.INFO,
                     )
                 )
-            slog.warning("engine.checkpoint_failed", code=code, error=str(exc))
             return
-        prov = self._prov
-        if prov is not None:
-            prov.emit(
-                "checkpoint_write",
-                parents=(
-                    prov.last_event_id
-                    if prov.last_event_id is not None
-                    else self._run_event,
-                ),
-                detail=str(path),
-                step=result.steps,
-            )
-        slog.info("engine.checkpoint", path=str(path), steps=result.steps)
+        obs.emit("checkpoint_write", detail=str(path), step=result.steps)
 
     def _atexit_flush(self) -> None:
         """Interpreter exiting with a run in flight: flush a last snapshot.
@@ -617,51 +576,24 @@ class PCFGEngine(StepCore):
 
         Returns True when the run may continue draining the worklist
         (non-strict mode), False when it must abort (strict mode)."""
-        prov = self._prov
-        event_id = None
-        if prov is not None:
-            parent = prov.node_event.get(key) if key is not None else None
-            event_id = prov.emit(
-                _FAILURE_KINDS[type(failure)],
-                node_key=key,
-                parents=(parent if parent is not None else self._run_event,),
-                detail=str(failure),
-                step=result.steps,
-            )
+        extra = {}
         if isinstance(failure, ClientFault):
-            diag = Diagnostic(
-                code=diagnostics.CLIENT_FAULT,
-                message=str(failure),
-                node_key=key,
-                callback=failure.callback,
-                provenance_id=event_id,
-            )
-            obs.incr("engine.recover.client_fault")
+            kind, code = "client_fault", diagnostics.CLIENT_FAULT
+            extra["callback"] = failure.callback
         elif isinstance(failure, MalformedCFG):
-            diag = Diagnostic(
-                code=diagnostics.CFG_MALFORMED,
-                message=str(failure),
-                node_key=key,
-                provenance_id=event_id,
-            )
+            kind, code = "cfg_malformed", diagnostics.CFG_MALFORMED
         else:  # GiveUp
-            diag = Diagnostic(
-                code=failure.code,
-                message=failure.reason,
-                node_key=key,
-                blocked=tuple((nid, desc) for nid, desc in failure.blocked),
-                provenance_id=event_id,
-            )
+            kind, code = "giveup", failure.code
+            extra["blocked"] = tuple((nid, desc) for nid, desc in failure.blocked)
             result.blocked_at_giveup.extend(failure.blocked)
-        result.diagnostics.append(diag)
-        slog.warning(
-            "engine.degrade",
-            code=diag.code,
-            node=list(key[0]) if key is not None else None,
-            step=result.steps,
-            strict=self.limits.strict,
-            message=diag.message,
+        event_id = obs.emit(
+            kind, node_key=key, parents=(self._cause(key),), detail=str(failure),
+            step=result.steps, code=code, strict=self.limits.strict,
         )
+        diag = Diagnostic(
+            code=code, message=str(failure), node_key=key, provenance_id=event_id, **extra
+        )
+        result.diagnostics.append(diag)
         result.gave_up = True
         if not result.give_up_reason:
             result.give_up_reason = diag.message
@@ -674,19 +606,9 @@ class PCFGEngine(StepCore):
 
     def _record_budget(self, result: AnalysisResult, code: str, message: str) -> None:
         """A resource budget tripped: end the run as a sound partial result."""
-        prov = self._prov
-        event_id = None
-        if prov is not None:
-            event_id = prov.emit(
-                "budget_trip",
-                parents=(
-                    prov.last_event_id
-                    if prov.last_event_id is not None
-                    else self._run_event,
-                ),
-                detail=f"{code}: {message}",
-                step=result.steps,
-            )
+        event_id = obs.emit(
+            "budget_trip", detail=f"{code}: {message}", step=result.steps, code=code
+        )
         result.diagnostics.append(
             Diagnostic(
                 code=code,
@@ -698,10 +620,6 @@ class PCFGEngine(StepCore):
         result.gave_up = True
         if not result.give_up_reason:
             result.give_up_reason = message
-        obs.incr(f"engine.budget.{code.split('_', 1)[1].lower()}")
-        slog.warning(
-            "engine.budget", code=code, step=result.steps, message=message
-        )
 
     def _finalize(self, result: AnalysisResult, aborted: bool) -> None:
         # INFO diagnostics (e.g. a rejected checkpoint followed by a cold

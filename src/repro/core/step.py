@@ -28,6 +28,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.core import diagnostics
 from repro.core.client import (
     Alternatives,
@@ -41,7 +42,6 @@ from repro.core.pcfg import PCFGEdge, PCFGNodeKey
 from repro.core.topology import MatchRecord
 from repro.faults import plane as faults
 from repro.lang.cfg import NodeKind
-from repro.obs import recorder as obs
 
 #: exceptions the schedulers localize to a ``T`` at one pCFG node
 RECOVERABLE = (GiveUp, ClientFault, MalformedCFG)
@@ -88,6 +88,13 @@ class StepCore:
             return faults.CorruptedState(callback)
         return value
 
+    def _cause(self, key: Optional[PCFGNodeKey]) -> Optional[int]:
+        """Provenance id of the event that last defined ``key``'s state —
+        the run's root event when none did (or ``key`` is None); None while
+        provenance is off."""
+        prov = self._prov
+        return None if prov is None else prov.node_event.get(key, self._run_event)
+
     @staticmethod
     def _safe_provenance_data(fn, *args):
         """Call a client provenance hook; a buggy hook must never degrade
@@ -122,10 +129,10 @@ class StepCore:
                 client.match_explanation
             )
             if explain is not None or matches:
-                prov.emit(
+                obs.emit(
                     "match_attempt",
                     node_key=key,
-                    parents=(prov.node_event.get(key, self._run_event),),
+                    parents=(self._cause(key),),
                     detail=f"{len(matches)} match(es)",
                     data=explain,
                     step=result.steps,
@@ -355,7 +362,7 @@ class StepCore:
         if key not in states:
             states[key] = state
             if prov is not None:
-                prov.emit(
+                obs.emit(
                     kind,
                     node_key=key,
                     parents=(src_event,),
@@ -400,7 +407,7 @@ class StepCore:
         if prov is not None:
             # a join/widen has two causes: the incoming edge's source and
             # whatever last defined this node's previous state
-            prov.emit(
+            obs.emit(
                 "widen" if widened_here else "join",
                 node_key=key,
                 parents=(prov.node_event.get(key), src_event),
@@ -453,15 +460,11 @@ class StepCore:
         prov = self._prov
         src_event: Optional[int] = None
         if prov is not None:
-            src_event = (
-                prov.node_event.get(src_key) if src_key is not None else None
-            )
-            if src_event is None:
-                src_event = self._run_event
+            src_event = self._cause(src_key)
             if merges:
                 # the fold happened on the way to this node, so it sits
                 # between the source's defining event and the transition
-                src_event = prov.emit(
+                src_event = obs.emit(
                     "merge",
                     parents=(src_event,),
                     detail="psets merged at CFG node(s) "

@@ -39,6 +39,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.core.driver import analyze_with_fallback
 from repro.core.engine import EngineLimits
 from repro.corpus.generator import (
@@ -50,7 +51,6 @@ from repro.corpus.generator import (
 )
 from repro.lang.ast import For, If, Program, Stmt, While
 from repro.lang.build import to_source
-from repro.obs import recorder as obs
 from repro.runtime.interpreter import observe_program
 
 #: programs per tier; ``smoke`` is pinned by the checked-in manifest,
@@ -494,18 +494,17 @@ class SweepSummary:
 
 
 def _worker(
-    task: Tuple[int, Optional[EngineLimits], Optional[str], bool]
+    task: Tuple[int, Optional[EngineLimits], Optional[str], Optional[dict]]
 ) -> SweepRecord:
-    """One pool task.  When ``capture`` is set (the parent has an active
-    recorder and this runs in a forked worker, where incrs would land in
-    the child's inherited copy and be lost), the work runs under a private
-    recorder and the counter snapshot travels home on the record."""
-    seed, limits, fault, capture = task
-    if not capture:
-        return run_one(seed, limits=limits, fault=fault)
-    with obs.recording() as recorder:
+    """One pool task.  In a forked worker (where incrs would land in the
+    child's inherited copy and be lost) ``telemetry`` is the parent's
+    :func:`obs.wire` dict: a recording parent gets the counters home on
+    the record."""
+    seed, limits, fault, telemetry = task
+    with obs.adopt(telemetry or {}) as recorder:
         record = run_one(seed, limits=limits, fault=fault)
-    record.counters = dict(recorder.counters)
+    if recorder is not None:
+        record.counters = dict(recorder.counters)
     return record
 
 
@@ -538,7 +537,8 @@ def run_sweep(
         jobs=max(1, jobs),
     )
     pooled = summary.jobs > 1 and len(seeds) > 1
-    tasks = [(seed, limits, fault, pooled and obs.enabled()) for seed in seeds]
+    telemetry = obs.wire() if pooled else None
+    tasks = [(seed, limits, fault, telemetry) for seed in seeds]
     records: List[SweepRecord] = []
 
     report_file = None

@@ -349,7 +349,7 @@ def _run_ckpt_case(state_dir: Path, programs, case: CaseResult) -> None:
     write contract itself: the run survives (CHECKPOINT_IO is a
     diagnostic, never an abort), no orphan temp file is stranded, and
     whatever checkpoint file exists is complete valid JSON — old or new,
-    never torn."""
+    never torn — and the focus point actually fired (``focus-fired``)."""
     from repro.analyses.simple_symbolic import SimpleSymbolicClient
     from repro.core import diagnostics
     from repro.core.checkpoint import Checkpointer
@@ -389,6 +389,14 @@ def _run_ckpt_case(state_dir: Path, programs, case: CaseResult) -> None:
                 "cache-integrity",
                 f"{path.name}: torn checkpoint visible at the final name",
             )
+    active = plane.active()
+    if active is not None and case.focus not in active.fired_points():
+        # a case whose focus never fired checked nothing about that point
+        case.fail(
+            "focus-fired",
+            f"{case.focus} never fired in {result.steps} engine step(s) "
+            f"(fired: {', '.join(active.fired_points()) or 'nothing'})",
+        )
 
 
 #: a schedule can tear several consecutive responses (hit + count); any

@@ -50,8 +50,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 #: Bump it whenever an entry is added, removed or moved: case ``k`` forces
 #: point ``k mod len(CATALOG)``, so a label only names the same schedule
 #: under the catalog it was printed against.  Unversioned labels predate
-#: versioning and count as version 1.
-CATALOG_VERSION = 3
+#: versioning and count as version 1.  Version 4 keeps ``client.callback.*``
+#: extras out of checkpoint-write schedules (see :meth:`FaultSchedule.for_case`).
+CATALOG_VERSION = 4
 
 #: every registered injection point, name -> where it bites.  Ordered:
 #: case ``k`` of a sweep forces point ``k mod len(CATALOG)``, so the
@@ -111,11 +112,17 @@ class FaultSchedule:
         firing on its first arrival — guarantees a full sweep rotation
         exercises every registered point.  A seeded 0-2 extra faults land
         on other points at later arrivals, so cases also probe fault
-        *combinations*, not just singletons.
+        *combinations*, not just singletons.  A checkpoint-write focus gets
+        no ``client.callback.*`` extra: a client fault early in the run
+        would end it before its first snapshot write, so the focus point
+        could never fire.
         """
         names = list(CATALOG)
         rng = Random(f"repro-faults:{base_seed}:{case_index}")
         focus = names[case_index % len(names)]
+        extras = names
+        if focus.startswith("ckpt.write."):
+            extras = [name for name in names if not name.startswith("client.callback.")]
         plans = [
             PlannedFault(
                 point=focus,
@@ -125,7 +132,7 @@ class FaultSchedule:
             )
         ]
         for _ in range(rng.randrange(3)):
-            extra = rng.choice(names)
+            extra = rng.choice(extras)
             plans.append(
                 PlannedFault(
                     point=extra,

@@ -13,10 +13,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Set
 
+from repro import obs
 from repro.expr.rewrite import InvariantSystem
 from repro.hsm.hsm import Base, HSMOps
 from repro.hsm.rules import seq_rewrites, set_rewrites
-from repro.obs import recorder as obs
 
 
 def _fingerprint(h: Base) -> str:

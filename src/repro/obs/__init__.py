@@ -19,10 +19,15 @@ or profile a whole run in one call::
 
 The CLI equivalent is ``python -m repro profile <program>``.
 
-Two sibling subsystems share the module: :mod:`repro.obs.provenance` (the
-causal flight recorder behind ``repro explain`` and the Chrome-trace
-export of :mod:`repro.obs.export`) and :mod:`repro.obs.slog` (structured
-JSON logging to stderr, the ``--log-level`` / ``REPRO_LOG`` knob).
+Instrumented code calls ``obs.span(name, **data)`` (the one span),
+``obs.emit(kind, ...)`` (one discrete event, to every channel its row of
+:data:`repro.obs.telemetry.EVENTS` names) and the plain hot-path
+``obs.incr`` / ``obs.observe``.  They reach the destinations bound in the
+per-thread telemetry context (``obs.bind``; ``obs.wire`` / ``obs.adopt``
+across processes) and the process-global ones: :mod:`repro.obs.provenance`
+(the flight recorder behind ``repro explain``), :mod:`repro.obs.slog`
+(``--log-level`` / ``REPRO_LOG``) and the span-shard sink of
+:mod:`repro.obs.trace`.
 """
 
 from repro.obs import export, metrics, provenance, slog, trace
@@ -34,17 +39,21 @@ from repro.obs.recorder import (
     Recorder,
     SpanStats,
     active_recorder,
+    bind,
+    context,
     disable,
     enable,
     enabled,
     incr,
+    merge_counters,
     observe,
     recording,
     reset,
-    span,
 )
+from repro.obs.telemetry import EVENTS, adopt, emit, notify, span, wire
 
 __all__ = [
+    "EVENTS",
     "HistogramStats",
     "NullRecorder",
     "Profile",
@@ -54,13 +63,19 @@ __all__ = [
     "SPAN_CATEGORIES",
     "SpanStats",
     "active_recorder",
+    "adopt",
+    "bind",
     "build_profile",
+    "context",
     "disable",
     "enable",
+    "emit",
     "enabled",
     "export",
     "incr",
+    "merge_counters",
     "metrics",
+    "notify",
     "observe",
     "profile_program",
     "provenance",
@@ -69,4 +84,5 @@ __all__ = [
     "slog",
     "span",
     "trace",
+    "wire",
 ]

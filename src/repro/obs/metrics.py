@@ -5,9 +5,9 @@ text format, version 0.0.4 — the lingua franca every scraper speaks —
 without importing any client library:
 
 * **obs recorder counters** become per-name counter families
-  (``engine.steps`` -> ``repro_engine_steps_total``), so the worker
-  counters the daemon merges home via ``counter_snapshot`` /
-  ``merge_counters`` are scrapeable instead of dying with the worker;
+  (``engine.steps`` -> ``repro_engine_steps_total``), so the counters
+  the daemon merges home from its workers (``merge_counters``) are
+  scrapeable instead of dying with the worker;
 * **obs recorder histograms** become summary families (quantiles from
   the shared nearest-rank :func:`repro.obs.recorder.percentile`, plus
   ``_count``/``_sum``).  Names carrying a trailing dimension — the

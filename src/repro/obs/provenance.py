@@ -25,7 +25,10 @@ file, so causal chains remain resolvable after eviction.
 Like the metrics recorder, the flight recorder is process-global, disabled
 by default, and zero-cost when disabled: the engine fetches
 :func:`active` once per run and guards every emit site with a single
-``is not None`` check.
+``is not None`` check.  The engine reports through
+:func:`repro.obs.telemetry.emit`, which records here when a recorder is
+installed (returning the event id) and mirrors the event to the other
+telemetry channels.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
-
-from repro.obs import slog
 
 #: default ring capacity (events); explain runs may raise it
 DEFAULT_CAPACITY = 65536
@@ -205,10 +206,6 @@ class ProvenanceRecorder:
             self.evicted += 1
             if self.spill_path is not None:
                 self._spill(evictee)
-        if slog.enabled_for("debug"):
-            slog.debug(f"prov.{kind}", id=event_id, step=step,
-                       node=list(node_key[0]) if node_key else None,
-                       detail=detail or None)
         return event_id
 
     def _spill(self, event: ProvenanceEvent) -> None:
@@ -376,22 +373,3 @@ def recording(
         yield recorder
     finally:
         _active = previous
-
-
-def emit(
-    kind: str,
-    node_key: Optional[tuple] = None,
-    parents: Tuple[Optional[int], ...] = (),
-    detail: str = "",
-    data: Optional[dict] = None,
-    step: int = 0,
-    dur: float = 0.0,
-) -> Optional[int]:
-    """Record one event on the active recorder (None when disabled)."""
-    recorder = _active
-    if recorder is None:
-        return None
-    return recorder.emit(
-        kind, node_key=node_key, parents=parents, detail=detail,
-        data=data, step=step, dur=dur,
-    )

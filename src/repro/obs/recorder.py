@@ -10,9 +10,9 @@ The observability layer has exactly two states:
   *counters* (monotonic event counts), and *histograms* (value
   distributions: count/total/min/max).
 
-Instrumented code never branches on the state — it calls the module-level
-:func:`span` / :func:`incr` / :func:`observe` helpers, which dispatch to
-whatever recorder is currently installed.
+Instrumented code never branches on the state — it calls
+:func:`repro.obs.span` and the module-level :func:`incr` / :func:`observe`
+helpers, which dispatch to whatever recorder is currently installed.
 
 Concurrency model
 -----------------
@@ -21,15 +21,20 @@ The default recorder is process-global and unlocked, matching the
 single-threaded analysis engine.  The analysis *service* runs concurrent
 jobs in worker threads, which needs two extra pieces:
 
-* **per-job isolation** (the fast path): :func:`job_recording` installs a
-  private recorder for the current thread only — the same snapshot/merge
-  pattern the PR 7 process pools use, so a job's counters never race with
-  another job's and are folded into the shared recorder in one locked
-  :func:`merge_counters` call at job end;
+* **per-job isolation** (the fast path): ``bind(recorder=...)`` shadows
+  the global recorder for the current thread only, so a job's counters
+  never race with another job's and are folded into the shared recorder
+  in one locked :func:`merge_counters` call at job end;
 * **a locked fallback**: ``Recorder(locked=True)`` serializes counter and
   histogram updates (and keeps a per-thread span stack), so the *shared*
   recorder that absorbs those merges — and any stray unisolated
   ``incr`` from a service thread — stays consistent under concurrency.
+
+The telemetry context
+---------------------
+
+:data:`context` is the package's one per-thread telemetry context: job
+recorder, trace context and progress hook, installed by :func:`bind`.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 
 class _NullSpan:
@@ -255,8 +260,8 @@ class Recorder:
         cannot share the parent's recorder; they enable a private one,
         return ``dict(recorder.counters)`` with their result, and the
         parent merges it here so ``engine.*``/``sweep.*`` counts survive
-        the pool.  Service job threads use the same pattern through
-        :func:`job_recording`.  Spans and histograms are deliberately not
+        the pool.  Service job threads use the same pattern with a job
+        recorder bound into the telemetry context.  Spans and histograms are deliberately not
         merged: their wall-clock attribution is only meaningful within
         one process.
         """
@@ -329,21 +334,47 @@ AnyRecorder = Union[Recorder, NullRecorder]
 _NULL = NullRecorder()
 _active: AnyRecorder = _NULL
 
-#: per-thread recorder override (see :func:`job_recording`); checked before
-#: the process-global recorder so concurrent jobs stay isolated
-_tls = threading.local()
+
+class _Context(threading.local):
+    """Per-thread telemetry context (class attributes are the defaults)."""
+
+    #: per-job recorder shadowing the process-global one (None: global)
+    recorder: Optional[Recorder] = None
+    #: active trace context (a :class:`repro.obs.trace.TraceContext`)
+    trace = None
+    #: streaming progress hook: a callable of one plain event dict
+    progress: Optional[Callable[[dict], None]] = None
+
+
+#: the one per-thread telemetry context (see the module docstring)
+context = _Context()
+
+
+@contextmanager
+def bind(recorder=None, trace=None, progress=None) -> Iterator[_Context]:
+    """Install telemetry for the current thread only; None keeps the
+    current value.  Nesting restores the previous values on exit."""
+    ctx = context
+    saved = (ctx.recorder, ctx.trace, ctx.progress)
+    if recorder is not None:
+        ctx.recorder = recorder
+    if trace is not None:
+        ctx.trace = trace
+    if progress is not None:
+        ctx.progress = progress
+    try:
+        yield ctx
+    finally:
+        ctx.recorder, ctx.trace, ctx.progress = saved
 
 
 def active_recorder() -> AnyRecorder:
     """The currently installed recorder (Null when disabled).
 
-    A thread-local override installed by :func:`job_recording` shadows
-    the process-global recorder for the current thread.
+    A job recorder bound into the telemetry :data:`context` shadows the
+    process-global recorder for the current thread.
     """
-    override = getattr(_tls, "override", None)
-    if override is not None:
-        return override
-    return _active
+    return context.recorder or _active
 
 
 def enabled() -> bool:
@@ -376,13 +407,13 @@ def disable() -> None:
 def reset() -> None:
     """Disable and drop all collected data: the pristine default state.
 
-    Also clears the *current thread's* job-recording override, so test
+    Also clears the *current thread's* telemetry context, so test
     isolation fixtures return this thread to the global recorder."""
     global _active
     if isinstance(_active, Recorder):
         _active.reset()
     _active = _NULL
-    _tls.override = None
+    context.recorder = context.trace = context.progress = None
 
 
 @contextmanager
@@ -390,8 +421,8 @@ def recording(recorder: Optional[Recorder] = None) -> Iterator[Recorder]:
     """Temporarily install ``recorder`` (default: a fresh one), restoring
     the previous state on exit.  This is how profiling drivers isolate
     their measurements from the global recorder.  The swap is
-    process-global; concurrent job threads should use
-    :func:`job_recording` instead."""
+    process-global; concurrent job threads bind a job recorder instead
+    (``bind(recorder=...)``)."""
     global _active
     previous = _active
     installed = recorder if recorder is not None else Recorder()
@@ -400,31 +431,6 @@ def recording(recorder: Optional[Recorder] = None) -> Iterator[Recorder]:
         yield installed
     finally:
         _active = previous
-
-
-@contextmanager
-def job_recording(recorder: Optional[Recorder] = None) -> Iterator[Recorder]:
-    """Install a private recorder for the *current thread only*.
-
-    The per-request isolation the analysis service uses: each concurrent
-    job records into its own recorder (no locks on the hot path, no
-    cross-job races), and the caller folds ``dict(recorder.counters)``
-    into the shared recorder with one :func:`merge_counters` call when
-    the job finishes — the same snapshot/merge pattern the PR 7 process
-    pools established.  Nesting restores the previous override on exit.
-    """
-    installed = recorder if recorder is not None else Recorder()
-    previous = getattr(_tls, "override", None)
-    _tls.override = installed
-    try:
-        yield installed
-    finally:
-        _tls.override = previous
-
-
-def span(name: str):
-    """Time a region: ``with obs.span("engine.step"): ...``"""
-    return active_recorder().span(name)
 
 
 def incr(name: str, amount: int = 1) -> None:
@@ -442,12 +448,3 @@ def merge_counters(counters: Optional[Dict[str, int]]) -> None:
     when disabled or when the snapshot is None/empty)."""
     if counters:
         active_recorder().merge_counters(counters)
-
-
-def counter_snapshot() -> Optional[Dict[str, int]]:
-    """A plain-dict copy of the active recorder's counters for shipping
-    across a process boundary, or None when observability is disabled."""
-    recorder = active_recorder()
-    if isinstance(recorder, Recorder):
-        return dict(recorder.counters)
-    return None

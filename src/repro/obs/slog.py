@@ -1,15 +1,18 @@
 """Structured logging: engine events mirrored to stderr as single-line JSON.
 
 Replaces ad-hoc prints for operational visibility: when enabled (CLI
-``--log-level`` or the ``REPRO_LOG`` environment variable), the engine,
-driver and flight recorder mirror noteworthy events to stderr, one JSON
+``--log-level`` or the ``REPRO_LOG`` environment variable), the events
+reported through :func:`repro.obs.telemetry.emit` (engine, driver,
+service) and the service's own operational lines go to stderr, one JSON
 object per line, machine-parseable by any log pipeline::
 
     {"ts": 1723.512, "level": "warning", "event": "engine.budget_trip", ...}
 
 Levels are the conventional ``debug < info < warning < error``.  Disabled
 (the default) costs one integer comparison per call site; callers emitting
-expensive payloads should pre-check :func:`enabled_for`.
+expensive payloads should pre-check :func:`enabled_for`.  A line written
+while the thread's telemetry context has an active trace carries its
+``trace``/``span`` ids.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import sys
 import time
 from typing import Any, Optional
 
+from repro.obs.recorder import context
+
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
 #: disabled sentinel: above every real level
@@ -29,19 +34,6 @@ _threshold = _OFF
 
 #: environment knob mirrored by the CLI's ``--log-level``
 ENV_VAR = "REPRO_LOG"
-
-#: optional callable returning ambient fields (e.g. the active trace/span
-#: ids) folded into every emitted record; explicit fields win on clash.
-#: Registered by :mod:`repro.obs.trace` at import — slog itself stays
-#: dependency-free.
-_context_provider = None
-
-
-def set_context_provider(provider) -> None:
-    """Install a zero-arg callable whose dict result (or None) is merged
-    into every record that clears the threshold."""
-    global _context_provider
-    _context_provider = provider
 
 
 def configure(level: Optional[str]) -> None:
@@ -82,13 +74,10 @@ def log(level: str, event: str, **fields: Any) -> None:
     if LEVELS.get(level, _OFF) < _threshold:
         return
     record = {"ts": round(time.time(), 6), "level": level, "event": event}
-    if _context_provider is not None:
-        try:
-            context = _context_provider()
-        except Exception:
-            context = None
-        if context:
-            record.update(context)
+    ctx = context.trace
+    if ctx is not None:
+        record["trace"] = ctx.trace_id
+        record["span"] = ctx.span_id
     for key, value in fields.items():
         if value is not None:
             record[key] = value

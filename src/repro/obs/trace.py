@@ -10,20 +10,20 @@ stitched back into a single Chrome trace by :func:`stitch` (the
 
 Design points:
 
-* **Context is thread-local and explicit across processes.**
-  :func:`activate` installs a :class:`TraceContext` for the current
-  thread; anything shipped to another process carries
-  ``ctx.to_dict()`` in its payload (journal record, pipe message) and
-  re-activates it on the far side.  Nothing is ambient magic:
-  a process that was not handed a context records nothing.
-* **Disabled mode is two attribute reads.**  With no active context or
-  no configured sink, :func:`span` yields without allocating a child
-  context and writes nothing — the engine's tier-1 timings stay flat.
+* **Context is thread-local and explicit across processes.**  The active
+  :class:`TraceContext` lives in the per-thread telemetry context
+  (``obs.bind(trace=ctx)``) and crosses a process boundary inside the
+  plain dict of :func:`repro.obs.telemetry.wire` (or ``ctx.to_dict()``
+  in a journal record).  A process handed no context records nothing.
+* **One span.**  ``obs.span(name, **data)`` writes this module's record
+  (:func:`write_span`) for the request-level names of
+  :data:`repro.obs.telemetry.TRACED` when a context and a sink are
+  active, under a child context so nested spans and slog lines parent
+  correctly.
 * **Writes never raise.**  A full disk degrades tracing, not analysis;
   failed appends are counted (``trace.write_errors``) and dropped.
-* **slog correlation.**  Importing this module registers a context
-  provider with :mod:`repro.obs.slog`, so every emitted log line of a
-  thread with an active context carries ``trace``/``span`` fields.
+* **slog correlation.**  :mod:`repro.obs.slog` reads the same context:
+  log lines of a traced thread carry ``trace``/``span`` fields.
 
 Shard files live under the sink directory (the daemon uses
 ``<state_dir>/traces``) named ``<trace_id>-<os_pid>.jsonl``; one line
@@ -45,12 +45,10 @@ import os
 import threading
 import time
 import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
-from repro.obs import slog
 from repro.obs import recorder as obs
 from repro.obs.export import validate_chrome_trace
 
@@ -82,8 +80,6 @@ class TraceContext:
         return cls(trace_id, span_id, parent if isinstance(parent, str) else None)
 
 
-_local = threading.local()
-
 #: process-global span-shard sink (a directory) and the human-readable
 #: role this process plays in stitched traces ("daemon", "worker", ...)
 _sink: Optional[Path] = None
@@ -110,26 +106,12 @@ def mint(trace_id: Optional[str] = None) -> TraceContext:
 
 def current() -> Optional[TraceContext]:
     """The current thread's active context, or None."""
-    return getattr(_local, "ctx", None)
+    return obs.context.trace
 
 
 def current_trace_id() -> Optional[str]:
-    ctx = getattr(_local, "ctx", None)
+    ctx = obs.context.trace
     return ctx.trace_id if ctx is not None else None
-
-
-@contextmanager
-def activate(ctx: Optional[TraceContext]) -> Iterator[Optional[TraceContext]]:
-    """Install ``ctx`` for the current thread (None is a no-op)."""
-    if ctx is None:
-        yield None
-        return
-    previous = getattr(_local, "ctx", None)
-    _local.ctx = ctx
-    try:
-        yield ctx
-    finally:
-        _local.ctx = previous
 
 
 def configure_sink(path, process_name: str = "repro") -> Optional[Path]:
@@ -157,69 +139,29 @@ def sink() -> Optional[Path]:
     return _sink
 
 
-def _write_record(record: dict) -> None:
-    path = _sink / f"{record['trace']}-{os.getpid()}.jsonl"
+def write_span(ctx: TraceContext, name: str, start: float, data: dict) -> None:
+    """Append one completed span (begun at wall time ``start``) to this
+    process's shard file; a failed append is counted, never raised."""
+    record = {
+        "trace": ctx.trace_id,
+        "span": ctx.span_id,
+        "parent": ctx.parent_id,
+        "name": name,
+        "ts": start,
+        "dur": max(time.time() - start, 0.0),
+        "pid": os.getpid(),
+        "tid": threading.get_ident(),
+        "proc": _process_name,
+        "data": {k: v for k, v in data.items() if v is not None},
+    }
+    if _sink is None:
+        return
+    path = _sink / f"{ctx.trace_id}-{os.getpid()}.jsonl"
     try:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
     except (OSError, ValueError, TypeError):
         obs.incr("trace.write_errors")
-
-
-@contextmanager
-def span(name: str, **data) -> Iterator[Optional[TraceContext]]:
-    """Record one named span under the active context.
-
-    Enters a child context (so nested spans and slog lines parent
-    correctly) and appends a span record to this process's shard file on
-    exit.  With no active context or no sink, this is a cheap no-op.
-    """
-    ctx = getattr(_local, "ctx", None)
-    if ctx is None or _sink is None:
-        yield None
-        return
-    child = TraceContext(ctx.trace_id, mint_id(), ctx.span_id)
-    _local.ctx = child
-    start = time.time()
-    try:
-        yield child
-    finally:
-        _local.ctx = ctx
-        _write_record(
-            {
-                "trace": child.trace_id,
-                "span": child.span_id,
-                "parent": child.parent_id,
-                "name": name,
-                "ts": start,
-                "dur": max(time.time() - start, 0.0),
-                "pid": os.getpid(),
-                "tid": threading.get_ident(),
-                "proc": _process_name,
-                "data": {k: v for k, v in data.items() if v is not None},
-            }
-        )
-
-
-def event(name: str, **data) -> None:
-    """Record an instantaneous marker span (duration 0)."""
-    ctx = getattr(_local, "ctx", None)
-    if ctx is None or _sink is None:
-        return
-    _write_record(
-        {
-            "trace": ctx.trace_id,
-            "span": mint_id(),
-            "parent": ctx.span_id,
-            "name": name,
-            "ts": time.time(),
-            "dur": 0.0,
-            "pid": os.getpid(),
-            "tid": threading.get_ident(),
-            "proc": _process_name,
-            "data": {k: v for k, v in data.items() if v is not None},
-        }
-    )
 
 
 # -- stitching -----------------------------------------------------------------
@@ -343,13 +285,3 @@ def stitch(sink_dir, trace_id: str) -> dict:
     }
     validate_chrome_trace(document)
     return document
-
-
-def _slog_context() -> Optional[Dict[str, str]]:
-    ctx = getattr(_local, "ctx", None)
-    if ctx is None:
-        return None
-    return {"trace": ctx.trace_id, "span": ctx.span_id}
-
-
-slog.set_context_provider(_slog_context)

@@ -42,7 +42,6 @@ records stay addressable, and the journal is compacted.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import multiprocessing
 import os
@@ -56,6 +55,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro import obs
 from repro.core.checkpoint import Snapshot, cfg_fingerprint
 from repro.core.driver import (
     analyze_batch,
@@ -68,7 +68,6 @@ from repro.faults import plane as faults
 from repro.lang import parse
 from repro.lang.cfg import build_cfg
 from repro.lang.parser import ParseError
-from repro.obs import recorder as obs
 from repro.obs import slog
 from repro.obs import trace
 from repro.serve.cache import ResultCache, compute_key, render_report
@@ -223,10 +222,7 @@ def _ladder(ladder_kind: str, limits: EngineLimits):
     return baseline_ladder(limits) if ladder_kind == "baseline" else default_ladder(limits)
 
 
-def _attempt_child(
-    conn, source, limits, ladder_kind, resume_payload, capture, crash,
-    trace_ctx=None, trace_sink=None, stream=False,
-):
+def _attempt_child(conn, source, limits, ladder_kind, resume_payload, crash, telemetry):
     """Worker-process body: run the ladder, ship a JSON-plain reply.
 
     The forked child drops the inherited fault plane first: its arrivals
@@ -236,38 +232,34 @@ def _attempt_child(
 
     Everything sent back is plain dicts/lists/scalars, so the reply
     never trips on pickling a domain object, and the parent can journal
-    and cache it as-is.  ``trace_ctx``/``trace_sink`` re-establish the
-    request's trace context in this process (its spans land in a shard
-    file of its own); with ``stream`` the ladder's progress events are
-    forwarded over the pipe as ``("progress", event)`` messages ahead of
-    the final 4-tuple reply.
+    and cache it as-is.  ``telemetry`` (the parent's :func:`obs.wire`
+    dict) re-establishes the request's context in this process: its spans
+    land in a shard file of its own, its counters ride home on the reply,
+    and, when the job streams, the ladder's progress events are forwarded
+    over the pipe as ``("progress", event)`` messages ahead of the final
+    4-tuple reply.
     """
     faults.uninstall()
     try:
         if crash:
             os._exit(3)
-        if trace_sink:
-            trace.configure_sink(trace_sink, "worker")
-        span_ctx = trace.TraceContext.from_dict(trace_ctx) if trace_ctx else None
-        progress = None
-        if stream:
-            def progress(event, _conn=conn):
-                try:
-                    _conn.send(("progress", dict(event)))
-                except Exception:  # a dead pipe must not kill the attempt
-                    pass
-        with trace.activate(span_ctx), trace.span("serve.attempt", ladder=ladder_kind):
-            with obs.recording() if capture else contextlib.nullcontext():
-                program = parse(source)
-                resume = Snapshot(payload=resume_payload) if resume_payload else None
-                report = analyze_with_fallback(
-                    program, limits=limits, ladder=_ladder(ladder_kind, limits),
-                    resume=resume, progress=progress,
-                )
-                rendered = render_report(report)
-                snap = getattr(report.result, "snapshot", None)
-                snapshot_payload = snap.payload if snap is not None else None
-                counters = obs.counter_snapshot() if capture else None
+
+        def forward(event):
+            conn.send(("progress", dict(event)))
+
+        with obs.adopt(telemetry, progress=forward) as recorder, obs.span(
+            "serve.attempt", ladder=ladder_kind
+        ):
+            program = parse(source)
+            resume = Snapshot(payload=resume_payload) if resume_payload else None
+            report = analyze_with_fallback(
+                program, limits=limits, ladder=_ladder(ladder_kind, limits),
+                resume=resume,
+            )
+            rendered = render_report(report)
+            snap = getattr(report.result, "snapshot", None)
+            snapshot_payload = snap.payload if snap is not None else None
+            counters = dict(recorder.counters) if recorder is not None else None
         conn.send(("ok", rendered, snapshot_payload, counters))
     except BaseException as exc:  # the reply channel must never go silent
         try:
@@ -601,8 +593,7 @@ class AnalysisService:
             except queue.Empty:
                 continue
             try:
-                span_ctx = trace.TraceContext.from_dict(job.trace) if job.trace else None
-                with trace.activate(span_ctx), obs.span("serve.job"), trace.span(
+                with obs.bind(trace=trace.TraceContext.from_dict(job.trace)), obs.span(
                     "serve.job", job=job.id, kind=job.kind
                 ):
                     if job.kind == "batch":
@@ -659,19 +650,20 @@ class AnalysisService:
         attempt = 0
         while True:
             try:
-                rendered, snapshot_payload = self._execute_attempt(
-                    job, ladder_kind, warm, exec_limits, progress=progress
-                )
+                with obs.bind(progress=progress):
+                    rendered, snapshot_payload = self._execute_attempt(
+                        job, ladder_kind, warm, exec_limits
+                    )
                 break
             except TransientJobError as exc:
                 obs.incr("serve.attempt_failures")
                 if attempt >= self.config.retry.max_retries:
-                    slog.warning("serve.retries_exhausted", job=job.id, error=str(exc))
+                    obs.emit("retries_exhausted", job=job.id, error=str(exc))
                     self._complete_degraded(job, f"retries-exhausted: {exc}")
                     return
                 delay = self.config.retry.delay(attempt, self._rng)
-                slog.info(
-                    "serve.retry", job=job.id, attempt=attempt,
+                obs.emit(
+                    "retry", job=job.id, attempt=attempt,
                     delay_sec=round(delay, 3), error=str(exc),
                 )
                 retry_record = {
@@ -680,7 +672,6 @@ class AnalysisService:
                 if job.trace_id:
                     retry_record["trace"] = job.trace_id
                 self.journal.append(retry_record)
-                obs.incr("serve.retries")
                 time.sleep(delay)
                 attempt += 1
                 job.attempts = attempt
@@ -706,25 +697,20 @@ class AnalysisService:
         ladder_kind: str,
         warm: Optional[Snapshot],
         limits: Optional[EngineLimits] = None,
-        progress=None,
     ) -> Tuple[dict, Optional[dict]]:
         """One attempt, isolated per config.  Raises TransientJobError on
-        worker loss or watchdog timeout.  ``progress`` (when the job has
-        streaming subscribers) receives the ladder's rung/heartbeat
-        events; under process isolation the child forwards them over the
-        reply pipe and this side fans them out."""
+        worker loss or watchdog timeout.  The thread's progress hook (bound
+        when the job has streaming subscribers) receives the ladder's
+        rung/heartbeat events; under process isolation the child forwards
+        them over the reply pipe and this side hands them on."""
         request = job.request
         limits = limits if limits is not None else job.limits
         # decided parent-side so the plane's coverage accounting stays in
         # one process; a process-isolated child is told to die
         crash = faults.check("daemon.worker.kill") is not None
         if self.config.isolation == "inline":
-            return self._execute_inline(
-                request, limits, ladder_kind, warm, crash, progress=progress
-            )
+            return self._execute_inline(request, limits, ladder_kind, warm, crash)
         timeout = self._attempt_timeout(limits, ladder_kind)
-        span_ctx = trace.current()
-        sink = trace.sink()
         ctx = _fork_context()
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(
@@ -732,10 +718,7 @@ class AnalysisService:
             args=(
                 child_conn, request.program, limits, ladder_kind,
                 warm.payload if warm is not None else None,
-                obs.enabled(), crash,
-                span_ctx.to_dict() if span_ctx is not None else None,
-                str(sink) if sink is not None else None,
-                progress is not None,
+                crash, obs.wire(),
             ),
         )
         process.start()
@@ -760,8 +743,8 @@ class AnalysisService:
                     and len(message) == 2
                     and message[0] == "progress"
                 ):
-                    if progress is not None and isinstance(message[1], dict):
-                        progress(message[1])
+                    if isinstance(message[1], dict):
+                        obs.notify(message[1])
                     continue
                 reply = message
         finally:
@@ -783,20 +766,20 @@ class AnalysisService:
             obs.incr("serve.cache.warm_starts")
         return payload, snapshot_payload
 
-    def _execute_inline(self, request, limits, ladder_kind, warm, crash, progress=None):
-        """In-thread attempt (tests / bench): per-job recorder isolation
-        via ``job_recording`` keeps concurrent jobs' counters separate."""
+    def _execute_inline(self, request, limits, ladder_kind, warm, crash):
+        """In-thread attempt (tests / bench): a job recorder bound into the
+        thread's telemetry context keeps concurrent jobs' counters
+        separate."""
         if crash:
             raise TransientJobError("injected crash")
         program = parse(request.program)
-        with trace.span("serve.attempt", ladder=ladder_kind), obs.job_recording() as recorder:
+        recorder = obs.Recorder()
+        with obs.span("serve.attempt", ladder=ladder_kind), obs.bind(recorder=recorder):
             report = analyze_with_fallback(
                 program, limits=limits, ladder=_ladder(ladder_kind, limits), resume=warm,
-                progress=progress,
             )
             rendered = render_report(report)
-            counters = dict(recorder.counters)
-        obs.merge_counters(counters)
+        obs.merge_counters(recorder.counters)
         snap = getattr(report.result, "snapshot", None)
         if warm is not None and rendered.get("resumed_from"):
             obs.incr("serve.cache.warm_starts")
@@ -818,7 +801,8 @@ class AnalysisService:
                 programs.append(None)
                 errors.append(f"parse error: {exc}")
         parsed = [program for program in programs if program is not None]
-        with obs.job_recording() as recorder:
+        recorder = obs.Recorder()
+        with obs.bind(recorder=recorder):
             # analyze_batch yields in input order, so reports line up with
             # the parsed sublist positionally
             reports = [
@@ -827,8 +811,7 @@ class AnalysisService:
                     parsed, limits=limits, jobs=self.config.batch_jobs
                 )
             ]
-            counters = dict(recorder.counters)
-        obs.merge_counters(counters)
+        obs.merge_counters(recorder.counters)
         results: List[dict] = []
         cursor = 0
         for request, program, error in zip(job.batch, programs, errors):

@@ -1,44 +1,37 @@
-"""The ambient progress-hook switchboard and the engine heartbeats."""
+"""The progress hook of the telemetry context and the engine heartbeats."""
 
 from __future__ import annotations
 
 import threading
 
-from repro.core import progress
+from repro import obs
 from repro.core.driver import analyze_with_fallback
 from repro.lang import programs
 
 
 class TestSwitchboard:
     def test_default_is_none(self):
-        assert progress.current() is None
+        assert obs.context.progress is None
 
     def test_installed_is_scoped(self):
         events = []
-        with progress.installed(events.append):
-            assert progress.current() is not None
-            progress.emit({"event": "x"})
-        assert progress.current() is None
+        with obs.bind(progress=events.append):
+            assert obs.context.progress is not None
+            obs.notify({"event": "x"})
+        assert obs.context.progress is None
         assert events == [{"event": "x"}]
 
     def test_installed_none_is_noop(self):
-        with progress.installed(None):
-            assert progress.current() is None
-
-    def test_emit_swallows_subscriber_errors(self):
-        def bomb(event):
-            raise RuntimeError("subscriber bug")
-
-        with progress.installed(bomb):
-            progress.emit({"event": "x"})  # must not raise
+        with obs.bind(progress=None):
+            assert obs.context.progress is None
 
     def test_hooks_are_thread_local(self):
         seen = {}
 
         def other_thread():
-            seen["other"] = progress.current()
+            seen["other"] = obs.context.progress
 
-        with progress.installed(lambda e: None):
+        with obs.bind(progress=lambda e: None):
             worker = threading.Thread(target=other_thread)
             worker.start()
             worker.join()
@@ -59,16 +52,3 @@ class TestDriverEvents:
         assert beats[0]["phase"] == "engine"
         assert beats[0]["steps"] == 1
         assert "worklist" in beats[0]
-
-    def test_throwing_hook_does_not_abort_analysis(self):
-        calls = []
-
-        def flaky(event):
-            calls.append(event)
-            raise RuntimeError("hook bug")
-
-        report = analyze_with_fallback(
-            programs.get("pingpong").parse(), progress=flaky
-        )
-        assert report.result is not None
-        assert calls, "hook was never consulted"

@@ -38,6 +38,30 @@ def test_single_ckpt_case_passes(tmp_path):
     assert case.coverage["ckpt.write.enospc"]["fired"] >= 1
 
 
+@pytest.mark.parametrize("case_index", [2, 90])
+def test_ckpt_case_fires_its_focus(case_index, tmp_path):
+    """Cases whose schedule once paired a checkpoint-write focus with an
+    early client-callback fault: the run gave up before its first
+    snapshot, the focus never fired, and the case still passed."""
+    case = invariants.run_case(1337, case_index, tmp_path)
+    assert case.channel == "ckpt"
+    assert case.ok, case.violations
+    assert case.coverage[case.focus]["fired"] >= 1
+
+
+def test_ckpt_case_fails_when_its_focus_never_fires(tmp_path, monkeypatch):
+    never = invariants.FaultSchedule(
+        [invariants.plane.PlannedFault("ckpt.write.eio", hit=10**9)],
+        label="v0:0:0", focus="ckpt.write.eio",
+    )
+    monkeypatch.setattr(
+        invariants.FaultSchedule, "for_case", classmethod(lambda cls, b, c: never)
+    )
+    case = invariants.run_case(1337, 1, tmp_path)
+    assert not case.ok
+    assert any(v.startswith("focus-fired") for v in case.violations)
+
+
 def test_single_metrics_case_passes(tmp_path):
     """metrics.render.fail is the last catalog point: its case index is
     len(CATALOG) - 1.  The scrape channel must survive the injected render

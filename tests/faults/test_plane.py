@@ -53,11 +53,18 @@ def test_planned_fault_window():
 def test_schedule_for_case_is_deterministic():
     a = FaultSchedule.for_case(1337, 5)
     b = FaultSchedule.for_case(1337, 5)
-    assert a.label == b.label == "v3:1337:5"
-    assert CATALOG_VERSION == 3
+    assert a.label == b.label == "v4:1337:5"
+    assert CATALOG_VERSION == 4
     assert [(p.point, p.hit, p.count, p.arg) for p in a.plans] == [
         (p.point, p.hit, p.count, p.arg) for p in b.plans
     ]
+
+
+def test_ckpt_schedules_draw_no_client_callback_extras():
+    for case_index in range(0, 400, len(CATALOG)):  # case k % 15 == 0: ckpt focus
+        schedule = FaultSchedule.for_case(1337, case_index)
+        assert schedule.focus.startswith("ckpt.write.")
+        assert not any(p.point.startswith("client.callback.") for p in schedule.plans)
 
 
 def test_schedule_rotation_covers_catalog():

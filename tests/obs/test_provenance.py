@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from repro import obs
 from repro.analyses.simple_symbolic import SimpleSymbolicClient, analyze_program
 from repro.core import diagnostics
 from repro.core.engine import EngineLimits, PCFGEngine
@@ -171,7 +172,7 @@ class TestSwitchboard:
     def test_disabled_by_default(self):
         assert provenance.active() is None
         assert not provenance.enabled()
-        assert provenance.emit("transfer") is None
+        assert obs.emit("transfer") is None
 
     def test_enable_disable_reset(self):
         rec = provenance.enable()
@@ -184,7 +185,7 @@ class TestSwitchboard:
         outer = provenance.enable()
         with provenance.recording() as inner:
             assert provenance.active() is inner
-            provenance.emit("transfer")
+            obs.emit("transfer")
         assert provenance.active() is outer
         assert inner.total_events == 1
         assert outer.total_events == 0

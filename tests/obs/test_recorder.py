@@ -2,7 +2,7 @@
 
 import time
 
-from repro.obs import recorder as obs
+from repro import obs
 from repro.obs.recorder import NullRecorder, Recorder
 
 
@@ -275,7 +275,8 @@ class TestJobRecording:
 
     def test_override_shadows_the_global_recorder(self):
         shared = obs.enable(Recorder(locked=True))
-        with obs.job_recording() as mine:
+        with obs.bind(recorder=Recorder()) as ctx:
+            mine = ctx.recorder
             obs.incr("job.events")
             assert obs.active_recorder() is mine
         assert obs.active_recorder() is shared
@@ -284,10 +285,10 @@ class TestJobRecording:
 
     def test_merge_after_job_lands_in_shared(self):
         shared = obs.enable(Recorder(locked=True))
-        with obs.job_recording() as mine:
+        mine = Recorder()
+        with obs.bind(recorder=mine):
             obs.incr("job.events", 3)
-            counters = dict(mine.counters)
-        obs.merge_counters(counters)
+        obs.merge_counters(mine.counters)
         assert shared.counters["job.events"] == 3
 
     def test_concurrent_jobs_do_not_cross_talk(self):
@@ -297,7 +298,8 @@ class TestJobRecording:
         seen = {}
 
         def job(name, amount):
-            with obs.job_recording() as mine:
+            mine = Recorder()
+            with obs.bind(recorder=mine):
                 for _ in range(amount):
                     obs.incr("work")
                 seen[name] = dict(mine.counters)
@@ -317,8 +319,9 @@ class TestJobRecording:
         assert shared.counters["work"] == 1500
 
     def test_nested_job_recording_restores_previous(self):
-        with obs.job_recording() as outer:
-            with obs.job_recording() as inner:
+        outer, inner = Recorder(), Recorder()
+        with obs.bind(recorder=outer):
+            with obs.bind(recorder=inner):
                 obs.incr("deep")
                 assert obs.active_recorder() is inner
             assert obs.active_recorder() is outer
@@ -327,10 +330,10 @@ class TestJobRecording:
         assert outer.counters == {"shallow": 1}
 
     def test_reset_clears_the_thread_override(self):
-        from repro.obs.recorder import _tls
-
         obs.enable()
-        _tls.override = Recorder()
+        obs.context.recorder = Recorder()
+        obs.context.progress = print
         obs.reset()
-        assert getattr(_tls, "override", None) is None
+        assert obs.context.recorder is None
+        assert obs.context.progress is None
         assert not obs.enabled()

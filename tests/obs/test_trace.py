@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.obs import trace
 from repro.obs.export import validate_chrome_trace
 
@@ -44,50 +45,50 @@ class TestTraceContext:
     def test_activate_is_scoped(self):
         assert trace.current() is None
         ctx = trace.mint()
-        with trace.activate(ctx):
+        with obs.bind(trace=ctx):
             assert trace.current() is ctx
             assert trace.current_trace_id() == ctx.trace_id
         assert trace.current() is None
 
     def test_activate_none_is_noop(self):
-        with trace.activate(None):
+        with obs.bind(trace=None):
             assert trace.current() is None
 
 
 class TestSpanShards:
     def test_span_without_sink_writes_nothing(self, tmp_path):
-        with trace.activate(trace.mint()):
-            with trace.span("orphan"):
+        with obs.bind(trace=trace.mint()):
+            with obs.span("serve.orphan"):
                 pass
         assert list(tmp_path.glob("*.jsonl")) == []
 
     def test_span_without_context_writes_nothing(self, tmp_path):
         trace.configure_sink(tmp_path, "test")
-        with trace.span("orphan"):
+        with obs.span("serve.orphan"):
             pass
         assert list(tmp_path.glob("*.jsonl")) == []
 
     def test_span_records_nested_parentage(self, tmp_path):
         trace.configure_sink(tmp_path, "test")
         ctx = trace.mint()
-        with trace.activate(ctx):
-            with trace.span("outer") as outer:
-                with trace.span("inner", detail=7):
+        with obs.bind(trace=ctx):
+            with obs.span("serve.outer"):
+                with obs.span("serve.inner", detail=7):
                     pass
         records = trace.load_spans(tmp_path, ctx.trace_id)
         by_name = {r["name"]: r for r in records}
-        assert set(by_name) == {"outer", "inner"}
-        assert by_name["inner"]["parent"] == by_name["outer"]["span"]
-        assert by_name["outer"]["parent"] == ctx.span_id
-        assert by_name["inner"]["data"] == {"detail": 7}
-        assert by_name["outer"]["pid"] == os.getpid()
-        assert outer.trace_id == ctx.trace_id
+        assert set(by_name) == {"serve.outer", "serve.inner"}
+        assert by_name["serve.inner"]["parent"] == by_name["serve.outer"]["span"]
+        assert by_name["serve.outer"]["parent"] == ctx.span_id
+        assert by_name["serve.inner"]["data"] == {"detail": 7}
+        assert by_name["serve.outer"]["pid"] == os.getpid()
+        assert by_name["serve.outer"]["trace"] == ctx.trace_id
 
     def test_load_spans_skips_torn_lines(self, tmp_path):
         trace.configure_sink(tmp_path, "test")
         ctx = trace.mint()
-        with trace.activate(ctx):
-            with trace.span("good"):
+        with obs.bind(trace=ctx):
+            with obs.span("serve.good"):
                 pass
         shard = next(tmp_path.glob(f"{ctx.trace_id}-*.jsonl"))
         with open(shard, "a") as handle:
@@ -96,23 +97,22 @@ class TestSpanShards:
             handle.write(json.dumps({"trace": ctx.trace_id, "name": "bad-ts",
                                      "ts": "yesterday", "dur": 0}) + "\n")
         records = trace.load_spans(tmp_path, ctx.trace_id)
-        assert [r["name"] for r in records] == ["good"]
+        assert [r["name"] for r in records] == ["serve.good"]
 
-    def test_event_is_zero_duration(self, tmp_path):
+    def test_untraced_names_write_nothing(self, tmp_path):
         trace.configure_sink(tmp_path, "test")
-        ctx = trace.mint()
-        with trace.activate(ctx):
-            trace.event("marker", kind="x")
-        (record,) = trace.load_spans(tmp_path, ctx.trace_id)
-        assert record["dur"] == 0.0
+        with obs.bind(trace=trace.mint()):
+            with obs.span("engine.step"):
+                pass
+        assert list(tmp_path.glob("*.jsonl")) == []
 
     def test_unwritable_sink_degrades_silently(self, tmp_path):
         # a file where the directory should be: mkdir fails, tracing off
         blocker = tmp_path / "blocked"
         blocker.write_text("x")
         assert trace.configure_sink(blocker / "sub") is None
-        with trace.activate(trace.mint()):
-            with trace.span("dropped"):
+        with obs.bind(trace=trace.mint()):
+            with obs.span("serve.dropped"):
                 pass  # must not raise
 
 
@@ -155,10 +155,10 @@ class TestStitch:
     def test_stitch_nesting_is_acyclic(self, tmp_path):
         trace.configure_sink(tmp_path, "test")
         ctx = trace.mint()
-        with trace.activate(ctx):
-            with trace.span("a"):
-                with trace.span("b"):
-                    with trace.span("c"):
+        with obs.bind(trace=ctx):
+            with obs.span("serve.a"):
+                with obs.span("serve.b"):
+                    with obs.span("serve.c"):
                         pass
         document = trace.stitch(tmp_path, ctx.trace_id)
         spans = [e for e in document["traceEvents"] if e.get("ph") == "X"]
@@ -180,7 +180,7 @@ class TestSlogCorrelation:
 
         slog.configure("info")
         ctx = trace.mint()
-        with trace.activate(ctx):
+        with obs.bind(trace=ctx):
             slog.info("test.correlated", extra=1)
         slog.configure(None)
         line = capsys.readouterr().err.strip().splitlines()[-1]
